@@ -4,13 +4,40 @@ Works over a uniflow partition with regenerated vector clocks.  For each rank
 the walk starts at the lexically smallest consistent cut of that rank and
 repeatedly steps to the lexical successor at the same rank, so the whole
 lattice (or any rank slice) is enumerated without ever storing a level.
-At most a couple of cut vectors plus one triangular projection matrix of
-``n_u * (n_u - 1) / 2`` integers are alive at any moment; the stats object
-tracks both so tests can assert the space claim instead of trusting it.
 
-A visitor is any callable ``visitor(cut, rank, remap)``; ``cut`` is the cut
-over the uniflow chains, and ``remap()`` lazily translates it to the original
-process chains.  Returning ``False`` stops the traversal early; any other
+:func:`traverse_rank_range` holds a fixed set of buffers, whatever the size
+of the lattice:
+
+- the current cut, one mutable list of ``n_u`` counts that each successor
+  step rewrites in place, and the lower part of the candidate the step is
+  testing;
+- with a visitor, the tuple snapshot of the current cut handed to it;
+- the triangular projection rows: ``proj[i]`` holds the first ``i``
+  components of the componentwise max of the uniflow clocks of the frontier
+  events on chains ``i + 1..n_u``, the only components a step that bumps
+  chain ``i + 1`` reads; ``n_u * (n_u - 1) / 2`` integers in all;
+- once a visitor has called ``remap()``, the original-clock table: row ``i``
+  is the componentwise max of the *original* vector clocks of the frontier
+  events on chains ``i + 1..n_u``, ``n * n_u`` integers.
+
+A step that bumps chain ``i`` changes the cut on chains ``1..i`` only, so
+every row above ``i`` stays valid in both tables.  The projection rows below
+it are refreshed after every step; the original-clock rows are refreshed
+only when ``remap()`` is called, from the highest chain any step has bumped
+since the last call.  In both, a chain whose frontier event precedes a
+higher frontier event adds nothing to its row, which then copies the row
+above; only chains that a top-up left with spare events cost a fold.  The
+stats report both the cut and the integer counts, so tests can assert the
+space claim instead of trusting it.
+
+A visitor is any callable ``visitor(cut, rank, remap)``.  ``cut`` is a tuple
+over the uniflow chains, and ``remap()`` translates it to the original
+process chains.  During the visit ``remap()`` returns row 0 of the
+original-clock table: a uniflow chain is totally ordered by causality, so the
+clock of its frontier event already covers every earlier event on the chain.
+A ``remap`` kept and called after its visit has ended falls back to the
+one-shot :func:`remap` of its own cut, so it still returns that cut's image.
+Returning ``False`` from the visitor stops the traversal early; any other
 return value continues it.
 """
 
@@ -18,6 +45,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 from .model import Clock, Cut, UsageError, is_consistent
@@ -35,7 +63,9 @@ class TraversalStats:
     ``component_ops`` counts inner-loop vector-component operations and backs
     the per-cut cost measurements.  ``peak_live_cuts`` / ``aux_int_peak``
     track the most cut vectors and auxiliary integers simultaneously retained
-    by the traversal machinery.
+    by the traversal machinery.  The walk writes them once per rank; the
+    ``live_cuts`` / ``aux_ints`` running counts serve the single-step
+    functions, which count call by call.
     """
 
     cuts_visited: int = 0
@@ -73,17 +103,20 @@ class TraversalStats:
         self.successor_calls[r] = self.successor_calls.get(r, 0) + 1
 
 
-def _fill_to_rank(buf: list[int], d: int, lengths: Sequence[int], stats: TraversalStats | None) -> None:
-    """Add ``d`` events bottom-up, taking as much of each low chain as fits."""
-    for j in range(len(buf)):
-        if d == 0:
-            return
+def _fill_to_rank(buf: list[int], d: int, lengths: Sequence[int]) -> int:
+    """Add ``d`` events bottom-up, taking as much of each low chain as fits.
+
+    The chains must have room for ``d`` more events.  Returns the number of
+    chains visited, which is what the component-op counters charge.
+    """
+    j = 0
+    while d:
         cap = lengths[j] - buf[j]
         take = d if d < cap else cap
         buf[j] += take
         d -= take
-        if stats is not None:
-            stats.component_ops += 1
+        j += 1
+    return j
 
 
 def get_min_cut(
@@ -100,11 +133,12 @@ def get_min_cut(
         raise UsageError(f"target rank {r} below the cut's rank {rk}")
     if r > part.event_count:
         raise UsageError(f"target rank {r} exceeds the event count {part.event_count}")
+    buf = list(g)
+    ops = _fill_to_rank(buf, r - rk, part.chain_lengths)
     if stats is not None:
         stats.count_min_cut(r)
         stats.cut_acquire()
-    buf = list(g)
-    _fill_to_rank(buf, r - rk, part.chain_lengths, stats)
+        stats.component_ops += ops
     return tuple(buf)
 
 
@@ -118,6 +152,8 @@ def get_successor(
     lower chains, then pull the lower components back up to the causal
     closure of every retained frontier event.  The first candidate whose rank
     still fits is topped up to rank ``r`` and returned.
+
+    This is the plain reference; the walk uses :func:`_successor_step`.
     """
     rows = part.clock_rows
     lengths = part.chain_lengths
@@ -149,9 +185,10 @@ def get_successor(
                     stats.component_ops += i
         rk = sum(K)
         if rk <= r:
+            ops = _fill_to_rank(K, r - rk, lengths)
             if stats is not None:
                 stats.count_min_cut(r)
-            _fill_to_rank(K, r - rk, lengths, stats)
+                stats.component_ops += ops
             return tuple(K)
     if K is not None and stats is not None:
         stats.cut_free()
@@ -164,9 +201,9 @@ def compute_projections(
     """Accumulated causal projections of a cut's frontier, one row per chain.
 
     Row ``i`` (index ``i - 1``) combines the clocks of the frontier events on
-    chains ``i..n_u``; only components ``1..i`` of a row are ever consumed.
-    The bottom row always reproduces the cut itself.  Empty chains contribute
-    nothing (their row aliases the row above).
+    chains ``i..n_u``; only components ``1..i - 1`` of a row are ever
+    consumed.  The bottom row always reproduces the cut itself.  Empty chains
+    contribute nothing (their row aliases the row above).
     """
     rows = part.clock_rows
     n_u = part.n_u
@@ -183,54 +220,51 @@ def compute_projections(
     return proj
 
 
-def _successor_with_projections(
-    g: Sequence[int],
-    r: int,
-    part: UniflowPartition,
-    proj: list[Clock],
-    stats: TraversalStats | None,
-) -> tuple[Cut, int] | None:
-    """Successor step using precomputed projections.
+def _successor_step(
+    g: list[int],
+    lengths: Sequence[int],
+    rows: Sequence[Sequence[Clock]],
+    proj: list[Sequence[int]],
+) -> tuple[int, int]:
+    """Advance ``g`` in place to its lexical successor at the same rank.
 
-    Fixing the lower components of a candidate takes a single componentwise
-    max of the bumped event's clock with the projection row of its chain.
-    Returns ``(cut, chain)`` with the 1-based chain that was incremented, or
-    ``None`` when ``g`` is the lexical maximum of rank ``r``.
+    ``proj[i]`` must hold exactly the first ``i`` components of the
+    projection row of chain ``i + 1`` for ``g`` (see
+    :func:`compute_projections`).  Candidate chains are tried from the
+    second-lowest upward.  Bumping chain ``i + 1`` makes the new lower part
+    the componentwise max of the bumped event's clock and ``proj[i]``: the
+    causal closure of every retained frontier event.  The bump adds one
+    event, so the candidate's rank fits iff that lower part holds fewer
+    events than ``g[:i]``; the test reads a running prefix sum of ``g`` and
+    never sums a whole vector.  The first candidate that fits is written
+    into ``g`` and topped up bottom-up to the old rank.  Its lower part
+    before the top-up is also the new ``proj[i]``: the bumped event's clock
+    covers the old frontier's on its chain, and rows above ``i`` are
+    unchanged, so it replaces that row in ``proj``.
+
+    Returns ``(bumped, ops)``: ``bumped`` is the 1-based chain that was
+    incremented, so chains ``1..bumped`` changed and rows below ``bumped - 1``
+    of ``proj`` are stale; or 0 when ``g`` is the lexical maximum of its rank
+    (``g`` and ``proj`` are then left as they were).  ``ops`` counts
+    component operations.
     """
-    rows = part.clock_rows
-    lengths = part.chain_lengths
-    n_u = len(lengths)
-    if stats is not None:
-        stats.count_successor(r)
-    K: list[int] | None = None
-    for i in range(1, n_u):
+    ops = 0
+    pre = 0
+    for i in range(1, len(g)):
+        pre += g[i - 1]
         ki = g[i]
-        if ki >= lengths[i]:
-            continue
-        if K is None:
-            if stats is not None:
-                stats.cut_acquire()
-            K = list(g)
-        else:
-            K[:] = g
-        K[i] = ki + 1
-        vc = rows[i][ki]
-        prow = proj[i]
-        for t in range(i):
-            a = vc[t]
-            b = prow[t]
-            K[t] = a if a > b else b
-        if stats is not None:
-            stats.component_ops += i
-        rk = sum(K)
-        if rk <= r:
-            if stats is not None:
-                stats.count_min_cut(r)
-            _fill_to_rank(K, r - rk, lengths, stats)
-            return tuple(K), i + 1
-    if K is not None and stats is not None:
-        stats.cut_free()
-    return None
+        if ki < lengths[i]:
+            lower = [a if a > b else b for a, b in zip(proj[i], rows[i][ki])]
+            ops += i
+            low = sum(lower)
+            if low < pre:
+                g[:i] = lower
+                g[i] = ki + 1
+                proj[i] = lower
+                if low + 1 < pre:
+                    ops += _fill_to_rank(g, pre - 1 - low, lengths)
+                return i + 1, ops
+    return 0, ops
 
 
 def get_successor_optimized(
@@ -240,46 +274,51 @@ def get_successor_optimized(
 
     Projections are computed once up front, after which every candidate
     chain costs one row combination instead of a rescan of all higher
-    chains.
+    chains.  The step itself is the walk's :func:`_successor_step`.
     """
     n_u = part.n_u
     if stats is not None:
+        stats.count_successor(r)
         stats.aux_add(n_u * n_u)
     proj = compute_projections(g, part, stats)
-    out = _successor_with_projections(g, r, part, proj, stats)
+    K = list(g)
+    bumped, ops = _successor_step(
+        K, part.chain_lengths, part.clock_rows, [row[:i] for i, row in enumerate(proj)]
+    )
     if stats is not None:
         stats.aux_drop(n_u * n_u)
-    return out[0] if out is not None else None
+        stats.component_ops += ops
+        if bumped:
+            stats.count_min_cut(r)
+            stats.cut_acquire()
+    return tuple(K) if bumped else None
 
 
 def _refresh_rows(
-    proj: list[Clock],
-    cut: Sequence[int],
-    rows,
-    upto: int,
-    n_u: int,
-    stats: TraversalStats | None,
-) -> None:
-    """Recompute projection rows for chains ``1..upto`` against ``cut``.
+    proj: list[Sequence[int]], cut: Sequence[int], rows: Sequence[Sequence[Clock]], upto: int
+) -> int:
+    """Recompute projection rows ``0..upto - 1`` against ``cut``.
 
-    Rows above ``upto`` stay valid after a successor step because the cut
-    did not change there.  ``proj[i]`` keeps only its first ``i``
-    components, the only ones a successor step on chain ``i + 1`` reads, so
-    refreshing it costs ``i`` component maxes instead of ``n_u``.  As in
-    :func:`compute_projections`, the row of an empty chain aliases the row
-    above it, so the rows hold at most ``n_u * (n_u - 1) / 2`` integers.
+    Rows from ``upto`` on stay valid after a successor step because the cut
+    did not change there.  ``proj[i]`` keeps its first ``i`` components
+    only, so folding a clock into it costs ``i`` component maxes instead of
+    ``n_u``.  A chain whose count equals component ``i`` of the row above
+    adds nothing: its frontier event precedes a higher frontier event, whose
+    clock covers its own.  Its row is the row above cut down to ``i``, and
+    only the chains that a top-up left with spare events cost a fold.
+    Returns the component operations.
     """
-    above: Clock = proj[upto] if upto < n_u else (0,) * (n_u - 1)
+    above = proj[upto] if upto < len(proj) else [0] * upto
     ops = 0
     for i in range(upto - 1, -1, -1):
         k = cut[i]
-        if k:
-            vc = rows[i][k - 1]
-            above = tuple([a if a > b else b for a, b in zip(vc[:i], above)])
+        if k > above[i]:
+            above = [a if a > b else b for a, b in zip(rows[i][k - 1], above[:i])]
             ops += i
+        else:
+            above = above[:i]
         proj[i] = above
-    if stats is not None:
-        stats.component_ops += ops
+    return ops
 
 
 def remap(g_u: Sequence[int], part: UniflowPartition, stats: TraversalStats | None = None) -> Cut:
@@ -328,31 +367,17 @@ def _remap_unchecked(
     return tuple(out)
 
 
-def traverse_bfs(
-    part: UniflowPartition,
-    visitor: Visitor | None = None,
-    *,
-    full_projection_refresh: bool = False,
-) -> TraversalStats:
+def traverse_bfs(part: UniflowPartition, visitor: Visitor | None = None) -> TraversalStats:
     """Visit every consistent cut once, in rank-major lexical-minor order.
 
     Starts at the empty cut and walks each rank's lexical chain from its
-    minimum.  ``full_projection_refresh`` recomputes the whole projection
-    matrix after every step instead of only the invalidated rows; it exists
-    for differential testing and should stay off.
+    minimum.
     """
-    return traverse_rank_range(
-        part, 0, part.event_count, visitor, full_projection_refresh=full_projection_refresh
-    )
+    return traverse_rank_range(part, 0, part.event_count, visitor)
 
 
 def traverse_rank_range(
-    part: UniflowPartition,
-    r1: int,
-    r2: int,
-    visitor: Visitor | None = None,
-    *,
-    full_projection_refresh: bool = False,
+    part: UniflowPartition, r1: int, r2: int, visitor: Visitor | None = None
 ) -> TraversalStats:
     """Visit exactly the consistent cuts with ``r1 <= rank <= r2``, each once.
 
@@ -368,43 +393,75 @@ def traverse_rank_range(
     stats = TraversalStats()
     start = time.perf_counter()
     rows = part.clock_rows
+    lengths = part.chain_lengths
     n_u = part.n_u
-    proj: list[Clock] = [()] * n_u
+    n = part.source.n
+    proj: list[Sequence[int]] = [[]] * n_u
     proj_ints = n_u * (n_u - 1) // 2
-    stats.aux_add(proj_ints)
-    per_rank = stats.per_rank
+    zero = (0,) * n
+    table: list[Clock] | None = None  # the original-clock table, built on first remap()
+    origin: list[list[Clock]] = []  # original clocks along each uniflow chain
+    stale = n_u  # rows 0..stale - 1 of the table may be out of date
+    current: Cut | None = None  # the snapshot of the visit in progress
+    remap_ops = 0
+
+    def remap_visit(snap: Cut) -> Cut:
+        nonlocal table, origin, stale, remap_ops
+        if snap is not current:
+            return _remap_unchecked(snap, part, None)
+        if table is None:
+            table = [zero] * (n_u + 1)  # the last row stands for no chains
+            events = part.source.events
+            origin = [[events[eid].vc for eid in chain] for chain in part.chains]
+            stale = n_u
+        above = table[stale]
+        for i in range(stale - 1, -1, -1):
+            k = snap[i]
+            # proj[i + 1][i]: how far up chain i the higher frontiers reach
+            if k > (proj[i + 1][i] if i + 1 < n_u else 0):
+                above = tuple([a if a > b else b for a, b in zip(origin[i][k - 1], above)])
+                remap_ops += n
+            table[i] = above
+        stale = 0
+        return above
+
+    step = _successor_step
+    refresh = _refresh_rows
+    cuts = 0
+    live = 2 if visitor is None else 3  # cut, candidate lower part, snapshot
     for r in range(r1, r2 + 1):
-        stats.cut_acquire()  # zero seed for this rank
-        g = get_min_cut((0,) * n_u, r, part, stats)
-        stats.cut_free()
-        _refresh_rows(proj, g, rows, n_u, n_u, stats)
+        g = [0] * n_u
+        rank_ops = _fill_to_rank(g, r, lengths) + refresh(proj, g, rows, n_u)
+        stale = n_u
+        visits = 0
         while True:
-            stats.cuts_visited += 1
-            per_rank[r] = per_rank.get(r, 0) + 1
+            visits += 1
             if visitor is not None:
-
-                def remap_now(_cut: Cut = g) -> Cut:
-                    stats.cut_acquire()
-                    out = _remap_unchecked(_cut, part, stats)
-                    stats.cut_free()
-                    return out
-
-                if visitor(g, r, remap_now) is False:
+                current = snap = tuple(g)
+                stop = visitor(snap, r, partial(remap_visit, snap)) is False
+                current = None
+                if stop:
                     stats.early_stopped = True
-                    stats.cut_free()  # g
-                    stats.aux_drop(proj_ints)
-                    stats.elapsed_s = time.perf_counter() - start
-                    return stats
-            step = _successor_with_projections(g, r, part, proj, stats)
-            if step is None:
-                stats.cut_free()  # g
+                    break
+            bumped, step_ops = step(g, lengths, rows, proj)
+            rank_ops += step_ops
+            if not bumped:
                 break
-            nxt, inc = step
-            stats.cut_free()  # g replaced by its successor
-            g = nxt
-            _refresh_rows(
-                proj, g, rows, n_u if full_projection_refresh else inc, n_u, stats
-            )
-    stats.aux_drop(proj_ints)
+            rank_ops += refresh(proj, g, rows, bumped - 1)
+            if bumped > stale:
+                stale = bumped
+        cuts += visits
+        stats.per_rank[r] = visits
+        stats.min_cut_calls[r] = visits
+        steps = visits - 1 if stats.early_stopped else visits
+        if steps:
+            stats.successor_calls[r] = steps
+        stats.component_ops += rank_ops + remap_ops
+        remap_ops = 0
+        stats.peak_live_cuts = live
+        stats.aux_int_peak = proj_ints + (n * n_u if table is not None else 0)
+        if stats.early_stopped:
+            break
+    stats.cuts_visited = cuts
     stats.elapsed_s = time.perf_counter() - start
     return stats

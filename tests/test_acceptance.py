@@ -8,7 +8,7 @@ The uniflow walk visits every cut while retaining at most three cut vectors
 and O(n_u^2) auxiliary integers, whereas the level BFS exceeds a
 100,000-stored-cut cap by rank 13.  No wall-clock value decides its verdict;
 it prints the walk's elapsed time and cuts/s, and is the long test of the
-suite (10–11 minutes in one process on a 2-core VM).
+suite (about 5 minutes in one process on a 2-core VM).
 ``test_space_contrast_demonstration`` shows the same space claim on a smaller
 trace whose level BFS can also finish.
 """

@@ -3,12 +3,15 @@ exhaustive oracle, and the space-accounting claims."""
 
 from __future__ import annotations
 
+import gc
 import itertools
+import tracemalloc
 
 import pytest
 
 from cutlattice import traversal
 from cutlattice.model import UsageError, cut_from_display, is_consistent, make_computation
+from cutlattice.traceio import GenSpec, generate_random
 from cutlattice.traversal import (
     TraversalStats,
     compute_projections,
@@ -19,7 +22,11 @@ from cutlattice.traversal import (
     traverse_bfs,
     traverse_rank_range,
 )
-from cutlattice.uniflow import build_uniflow_partition, regenerate_vector_clocks
+from cutlattice.uniflow import (
+    build_uniflow_partition,
+    regenerate_vector_clocks,
+    trivial_partition,
+)
 
 from conftest import (
     downset_event_sets,
@@ -51,6 +58,23 @@ def collect(part, r1=None, r2=None):
     else:
         stats = traverse_rank_range(part, r1, r2, visitor)
     return seen, stats
+
+
+def plain_walk(part):
+    """[(rank, cut), ...] by a plain ``get_min_cut``/``get_successor`` loop."""
+    out = []
+    empty = (0,) * part.n_u
+    for r in range(part.event_count + 1):
+        g = get_min_cut(empty, r, part)
+        while g is not None:
+            out.append((r, g))
+            g = get_successor(g, r, part)
+    return out
+
+
+def proj_ints(part):
+    """Integers in the walk's triangular projection rows."""
+    return part.n_u * (part.n_u - 1) // 2
 
 
 class TestGetMinCut:
@@ -206,46 +230,50 @@ class TestTraverseBfs:
         assert stats.early_stopped
         assert stats.cuts_visited == len(seen) == 5
 
-    def test_full_refresh_differential(self):
-        comp = random_computation(seed=93, n=4, events=18, p=0.3)
+    @pytest.mark.parametrize("seed,n,events,p", [
+        (91, 3, 12, 0.3),
+        (92, 4, 16, 0.3),
+        (93, 4, 18, 0.3),
+        (94, 4, 20, 0.3),
+        (97, 4, 20, 0.3),
+        (98, 6, 20, 0.7),
+    ])
+    def test_walk_matches_plain_successor_loop(self, seed, n, events, p):
+        """The walk's per-rank cut sequence, and each visit's remap, equal a
+        plain min-cut/successor loop and the checked one-shot remap."""
+        comp = random_computation(seed, n, events, p)
         part = prepared(comp)
-        fast = []
-        slow = []
-        traverse_bfs(part, lambda c, r, m: fast.append((r, c)) or True)
-        traverse_bfs(
-            part,
-            lambda c, r, m: slow.append((r, c)) or True,
-            full_projection_refresh=True,
-        )
-        assert fast == slow
+        seen, stats = collect(part)
+        assert [(r, cut) for r, cut, _ in seen] == plain_walk(part)
+        assert all(original == remap(cut, part) for _, cut, original in seen)
+        assert stats.cuts_visited == len(seen)
 
-    @pytest.mark.parametrize("seed,n,events,p,full", [
-        (97, 4, 20, 0.3, False),
-        (98, 6, 20, 0.7, False),
-        (97, 4, 20, 0.3, True),
+    @pytest.mark.parametrize("seed,n,events,p", [
+        (97, 4, 20, 0.3),
+        (98, 6, 20, 0.7),
     ])
     def test_projection_rows_match_compute_projections(
-        self, monkeypatch, seed, n, events, p, full
+        self, monkeypatch, seed, n, events, p
     ):
-        """Before every successor step, the first ``i`` components of row
-        ``i`` of the walk's projection matrix, the ones a successor step
-        reads, equal those of the row built from scratch."""
+        """Before every successor step, row ``i`` of the walk's projection
+        matrix holds exactly the first ``i`` components, the ones a step
+        reads, of the row built from scratch."""
         comp = random_computation(seed, n, events, p)
         part = prepared(comp)
         assert part.n_u >= 3
-        step = traversal._successor_with_projections
+        step = traversal._successor_step
         checked = []
 
-        def checking_step(g, r, part_, proj, stats):
+        def checking_step(g, lengths, rows, proj):
             expected = compute_projections(g, part)
-            assert [row[:i] for i, row in enumerate(proj)] == [
-                row[:i] for i, row in enumerate(expected)
+            assert list(map(list, proj)) == [
+                list(row[:i]) for i, row in enumerate(expected)
             ]
-            checked.append(g)
-            return step(g, r, part_, proj, stats)
+            checked.append(tuple(g))
+            return step(g, lengths, rows, proj)
 
-        monkeypatch.setattr(traversal, "_successor_with_projections", checking_step)
-        stats = traverse_bfs(part, full_projection_refresh=full)
+        monkeypatch.setattr(traversal, "_successor_step", checking_step)
+        stats = traverse_bfs(part)
         assert len(checked) == stats.cuts_visited
 
     def test_space_accounting(self):
@@ -257,6 +285,111 @@ class TestTraverseBfs:
         assert stats.aux_int_peak <= n_u * n_u + 4 * n_u
         assert stats.live_cuts == 0
         assert stats.aux_ints == 0
+        # Structural sizes: the triangular rows, plus the original-clock
+        # table once remap() has been called.
+        assert stats.aux_int_peak == proj_ints(part) + comp.n * n_u
+        assert traverse_bfs(part).aux_int_peak == proj_ints(part)
+        assert traverse_bfs(part, lambda c, r, m: True).aux_int_peak == proj_ints(part)
+
+    def test_late_remap_returns_own_cut(self):
+        """A remap kept past its visit, called later in the walk or after it,
+        still returns the image of its own cut."""
+        comp = random_computation(seed=99, n=4, events=16, p=0.4)
+        part = prepared(comp)
+        kept = []
+        during = []
+
+        def visitor(cut, r, remap_fn):
+            if kept:
+                during.append(kept[-1][1]())  # the previous visit's remap
+            kept.append((cut, remap_fn))
+
+        traverse_bfs(part, visitor)
+        assert len(kept) > 100
+        expected = [remap(cut, part) for cut, _ in kept]
+        assert during == expected[:-1]
+        assert [remap_fn() for _, remap_fn in kept] == expected
+        assert [remap_fn() for _, remap_fn in reversed(kept)] == expected[::-1]
+
+    def test_alloc_peak_flat_in_cut_count(self):
+        """The space claim measured with tracemalloc: on the d30 trace, a
+        remapping walk of rank 14 (37,185 cuts) peaks no higher than one of
+        rank 3 (207 cuts), up to a fixed slack.
+
+        Measured on Python 3.11 after a warm-up walk: 6,576 B at rank 3 and
+        7,584 B at rank 14.  The 1,008 B difference is original-clock table
+        rows: at rank 3 at most 3 of them hold their own 10-int tuple and the
+        rest alias the row above, at rank 14 up to 10 do.  Both tables
+        together hold at most 208 ints.  The slack allows about twice the
+        difference; retaining one small tuple per cut would exceed it by
+        three orders of magnitude.
+        """
+        slack = 2048
+        comp = generate_random(GenSpec(10, 30, 0.3, 1))
+        part = prepared(comp)
+        visitor = lambda c, r, m: m() and None
+
+        def traced_peak(r, cuts):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                stats = traverse_rank_range(part, r, r, visitor)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert stats.cuts_visited == cuts
+            assert stats.aux_int_peak == proj_ints(part) + comp.n * part.n_u
+            return peak
+
+        traced_peak(3, 207)  # warm-up: first-call allocations of the interpreter
+        small = traced_peak(3, 207)
+        large = traced_peak(14, 37_185)
+        assert large <= small + slack, (small, large)
+
+
+def sparse_ids(comp):
+    """The same computation with sparse, descending event ids."""
+    ids = {eid: 10**9 - 7919 * k for k, eid in enumerate(comp.topo_order)}
+    return make_computation(comp.n, [
+        (ids[eid], comp.events[eid].process, [ids[d] for d in comp.events[eid].deps])
+        for eid in comp.topo_order
+    ])
+
+
+EDGE_CASES = {
+    "n1": lambda: random_computation(seed=121, n=1, events=7, p=0.0),
+    "empty": lambda: make_computation(3, []),
+    "p1": lambda: random_computation(seed=122, n=4, events=14, p=1.0),
+    # Processes 3 and 5 have no events and messages only flow upward, so
+    # the online partition has fewer chains than there are processes.
+    "idle-processes": lambda: make_computation(5, [
+        (1, 1, []), (2, 2, [1]), (3, 4, [2]), (4, 1, []),
+        (5, 2, [4]), (6, 4, []), (7, 4, [5]), (8, 1, []),
+    ]),
+    "sparse-ids": lambda: sparse_ids(random_computation(seed=123, n=3, events=12, p=0.5)),
+}
+
+
+class TestWalkEdgeCases:
+    @pytest.mark.parametrize("partition", ["online", "trivial"])
+    @pytest.mark.parametrize("case", sorted(EDGE_CASES))
+    def test_matches_plain_loop_and_oracle(self, case, partition):
+        comp = EDGE_CASES[case]()
+        part = prepared(comp) if partition == "online" else trivial_partition(comp)
+        if case == "idle-processes" and partition == "online":
+            assert part.n_u < comp.n
+        seen, stats = collect(part)
+        assert [(r, cut) for r, cut, _ in seen] == plain_walk(part)
+        uniflow_sets: dict[int, set] = {}
+        original_sets: dict[int, set] = {}
+        for r, cut, original in seen:
+            assert original == remap(cut, part)
+            uniflow_sets.setdefault(r, set()).add(cut)
+            original_sets.setdefault(r, set()).add(original)
+        assert uniflow_sets == oracle_rank_sets(comp, part)
+        assert original_sets == oracle_rank_sets(comp)
+        assert stats.peak_live_cuts <= 3
+        assert stats.aux_int_peak == proj_ints(part) + comp.n * part.n_u
 
 
 class TestTraverseRankRange:
