@@ -4,104 +4,67 @@ The package builds a uniflow chain partition of a computation's event poset
 and walks the lattice of consistent cuts rank by rank in polynomial space,
 alongside a traditional level-by-level BFS and a brute-force downset oracle
 for cross-validation.
+
+The names below are the ones the README, the demos and the benchmark use,
+plus the exception types; everything else is imported from its submodule.
 """
 
 from .model import (
-    Computation,
-    Event,
     ResourceLimitError,
     UsageError,
-    compute_vector_clocks,
     concurrent,
-    cut_from_display,
-    cut_to_display,
     format_cut,
     happened_before,
     is_consistent,
-    lexical_compare,
     make_computation,
-    rank,
 )
 from .uniflow import (
     PartitionerState,
-    UniflowPartition,
     build_uniflow_partition,
     find_uniflow_chain,
-    partition_from_chains,
     regenerate_vector_clocks,
-    trivial_partition,
-    uniflow_fill,
     verify_uniflow,
 )
 from .traversal import (
-    TraversalStats,
-    compute_projections,
     get_min_cut,
     get_successor,
-    get_successor_optimized,
     remap,
     traverse_bfs,
     traverse_rank_range,
 )
-from .baselines import (
-    LevelBfsStats,
-    brute_force_downsets,
-    enabled_events,
-    traditional_bfs,
-)
+from .baselines import traditional_bfs
 from .traceio import (
     GenSpec,
-    TraceDocument,
     TraceError,
     generate_random,
     parse_document,
-    parse_trace,
     serialize_trace,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Computation",
-    "Event",
     "GenSpec",
-    "LevelBfsStats",
     "PartitionerState",
     "ResourceLimitError",
-    "TraceDocument",
     "TraceError",
-    "TraversalStats",
-    "UniflowPartition",
     "UsageError",
-    "brute_force_downsets",
     "build_uniflow_partition",
-    "compute_projections",
-    "compute_vector_clocks",
     "concurrent",
-    "cut_from_display",
-    "cut_to_display",
-    "enabled_events",
     "find_uniflow_chain",
     "format_cut",
     "generate_random",
     "get_min_cut",
     "get_successor",
-    "get_successor_optimized",
     "happened_before",
     "is_consistent",
-    "lexical_compare",
     "make_computation",
     "parse_document",
-    "parse_trace",
-    "partition_from_chains",
-    "rank",
     "regenerate_vector_clocks",
     "remap",
     "serialize_trace",
     "traditional_bfs",
     "traverse_bfs",
     "traverse_rank_range",
-    "trivial_partition",
-    "uniflow_fill",
     "verify_uniflow",
 ]

@@ -13,9 +13,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 from .model import Computation, Cut, ResourceLimitError, UsageError
+
+# The most events the brute-force oracle accepts by default: its recursion
+# visits up to 2**|E| leaves.
+BRUTE_FORCE_MAX_EVENTS = 25
 
 
 @dataclass
@@ -34,24 +38,6 @@ class LevelBfsStats:
     max_level_width: int = 0
     early_stopped: bool = False
     elapsed_s: float = 0.0
-
-
-def enabled_events(g: Sequence[int], comp: Computation) -> set[int]:
-    """Chains whose next event can be executed from the consistent cut ``g``.
-
-    Chain ``i`` is enabled when its next event's clock is already covered by
-    ``g`` on every other component.
-    """
-    lengths = comp.chain_lengths
-    rows = comp.clock_rows
-    out: set[int] = set()
-    for i in range(comp.n):
-        k = g[i]
-        if k < lengths[i]:
-            vc = rows[i][k]
-            if all(vc[j] <= g[j] for j in range(comp.n) if j != i):
-                out.add(i + 1)
-    return out
 
 
 def traditional_bfs(
@@ -127,7 +113,9 @@ def traditional_bfs(
     return stats
 
 
-def brute_force_downsets(comp: Computation, max_events: int = 25) -> dict[int, set[Cut]]:
+def brute_force_downsets(
+    comp: Computation, max_events: int = BRUTE_FORCE_MAX_EVENTS
+) -> dict[int, set[Cut]]:
     """All consistent cuts, grouped by rank, by literal downset enumeration.
 
     Recursive extension over the events in topological order: each event may

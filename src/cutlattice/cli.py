@@ -22,9 +22,10 @@ import sys
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Callable
 
-from .baselines import brute_force_downsets, traditional_bfs
-from .model import Computation, ResourceLimitError, UsageError, format_cut, make_computation
+from .baselines import BRUTE_FORCE_MAX_EVENTS, brute_force_downsets, traditional_bfs
+from .model import Computation, Cut, ResourceLimitError, UsageError, format_cut, make_computation
 from .traceio import GenSpec, TraceError, generate_random, parse_document, serialize_trace
 from .traversal import traverse_rank_range
 from .uniflow import (
@@ -201,7 +202,74 @@ def _prepare_partition(comp: Computation) -> tuple[UniflowPartition, float]:
     return part, time.perf_counter() - t0
 
 
-def _run_enumerator(
+@dataclass
+class RunRecord:
+    """What an enumerator reports back, whichever algorithm it runs."""
+
+    cuts: int | None = None
+    peak_stored_cuts: int | None = None
+    aux_int_peak: int | None = None
+    n_u: int | None = None
+    partition_s: float = 0.0
+
+
+# visitor(original_cut, rank) sees each cut of the window once, in rank-major
+# lexical-minor order; returning False stops the run.
+CutVisitor = Callable[[Cut, int], object]
+
+
+def _run_uniflow(
+    comp: Computation, window: tuple[int, int], visitor: CutVisitor | None, max_stored: int | None
+) -> RunRecord:
+    part, partition_s = _prepare_partition(comp)
+    stats = traverse_rank_range(
+        part, window[0], window[1],
+        None if visitor is None else lambda cut, r, remap_fn: visitor(remap_fn(), r),
+    )
+    return RunRecord(
+        stats.cuts_visited, stats.peak_live_cuts, stats.aux_int_peak, part.n_u, partition_s
+    )
+
+
+def _run_traditional(
+    comp: Computation, window: tuple[int, int], visitor: CutVisitor | None, max_stored: int | None
+) -> RunRecord:
+    stats = traditional_bfs(
+        comp,
+        None if visitor is None else lambda cut, r, remap_fn: visitor(cut, r),
+        rank_filter=window,
+        max_stored_cuts=max_stored,
+    )
+    return RunRecord(stats.cuts_visited, stats.peak_stored_cuts)
+
+
+def _run_brute(
+    comp: Computation, window: tuple[int, int], visitor: CutVisitor | None, max_stored: int | None
+) -> RunRecord:
+    by_rank = brute_force_downsets(comp)
+    in_order = (
+        (cut, r)
+        for r in range(window[0], window[1] + 1)
+        for cut in sorted(by_rank.get(r, ()), key=lambda c: c[::-1])
+    )
+    cuts = 0
+    for cut, r in in_order:
+        cuts += 1
+        if visitor is not None and visitor(cut, r) is False:
+            break
+    return RunRecord(cuts, sum(len(s) for s in by_rank.values()))
+
+
+# The three enumerators, all run(comp, (r1, r2), visitor, max_stored); only
+# the level BFS honours the stored-cut cap.
+ENUMERATORS: dict[str, Callable[..., RunRecord]] = {
+    "uniflow": _run_uniflow,
+    "traditional": _run_traditional,
+    "brute": _run_brute,
+}
+
+
+def _run(
     algo: str,
     name: str,
     comp: Computation,
@@ -211,18 +279,19 @@ def _run_enumerator(
     mode: str,
     max_stored: int | None,
     out,
-) -> tuple[RunReport, bool]:
-    """Run one algorithm over one trace; returns (report, matched)."""
-    r1, r2 = window
+) -> RunReport:
+    """Run one algorithm over one trace.
+
+    A run that exceeds the stored-cut cap or rejects its input is reported
+    with status ``resource-error`` or ``error``, not raised.
+    """
     listing = mode == "list"
     first_match = mode == "first-match"
-    match: list[tuple[int, tuple[int, ...]]] = []
-    enumerated = 0
+    match: list[tuple[int, Cut]] = []
     matched_count = 0
 
     def handle(original_cut, r) -> bool:
-        nonlocal enumerated, matched_count
-        enumerated += 1
+        nonlocal matched_count
         if predicate is not None and not predicate.matches(original_cut, r):
             return True
         matched_count += 1
@@ -233,68 +302,40 @@ def _run_enumerator(
             return False
         return True
 
-    partition_s = 0.0
-    n_u = None
-    peak = None
-    aux = None
-    status = "ok"
-    error = None
+    # Counting every cut needs no visitor, so the uniflow walk takes no
+    # snapshot and does no remap.
+    visitor = None if predicate is None and mode == "count" else handle
+    status, error = "ok", None
     t0 = time.perf_counter()
-    if algo == "uniflow":
-        part, partition_s = _prepare_partition(comp)
-        n_u = part.n_u
-        t0 = time.perf_counter()
-        if predicate is None and not listing and not first_match:
-            stats = traverse_rank_range(part, r1, r2)
-            enumerated = stats.cuts_visited
-        else:
-            stats = traverse_rank_range(
-                part, r1, r2, lambda cut, r, remap_fn: handle(remap_fn(), r)
-            )
-        peak = stats.peak_live_cuts
-        aux = stats.aux_int_peak
-    elif algo == "traditional":
-        stats = traditional_bfs(
-            comp,
-            lambda cut, r, remap_fn: handle(cut, r),
-            rank_filter=(r1, r2),
-            max_stored_cuts=max_stored,
-        )
-        peak = stats.peak_stored_cuts
-    elif algo == "brute":
-        by_rank = brute_force_downsets(comp)
-        stop = False
-        for r in range(r1, r2 + 1):
-            for cut in sorted(by_rank.get(r, ()), key=lambda c: c[::-1]):
-                if not handle(cut, r):
-                    stop = True
-                    break
-            if stop:
-                break
-        peak = sum(len(s) for s in by_rank.values())
-    else:
-        raise UsageError(f"unknown algorithm {algo!r}")
-    traverse_s = time.perf_counter() - t0
+    try:
+        record = ENUMERATORS[algo](comp, window, visitor, max_stored)
+        if predicate is not None:
+            record.cuts = matched_count
+    except ResourceLimitError as exc:
+        record = RunRecord(exc.stats.cuts_visited, exc.stats.peak_stored_cuts)
+        status, error = "resource-error", str(exc)
+    except UsageError as exc:
+        record, status, error = RunRecord(), "error", str(exc)
+    elapsed = time.perf_counter() - t0
 
     first_rank, first_cut = (match[0][0], format_cut(match[0][1])) if match else (None, None)
-    report = RunReport(
+    return RunReport(
         algorithm=algo,
         trace=name,
         n=comp.n,
         events=comp.event_count,
-        n_u=n_u,
+        n_u=record.n_u,
         ranks=ranks_text,
-        cuts=enumerated if predicate is None else matched_count,
+        cuts=record.cuts,
         first_match_rank=first_rank,
         first_match_cut=first_cut,
-        partition_s=partition_s,
-        traverse_s=traverse_s,
-        peak_stored_cuts=peak,
-        aux_int_peak=aux,
+        partition_s=record.partition_s,
+        traverse_s=elapsed - record.partition_s,
+        peak_stored_cuts=record.peak_stored_cuts,
+        aux_int_peak=record.aux_int_peak,
         status=status,
         error=error,
     )
-    return report, bool(match)
 
 
 def cmd_gen(args) -> int:
@@ -336,19 +377,18 @@ def cmd_traverse(args) -> int:
     if predicate is not None:
         predicate.validate(comp)
     print(f"trace={name} algo={args.algo} ranks={args.ranks} mode={args.mode}")
-    try:
-        report, matched = _run_enumerator(
-            args.algo, name, comp, window, args.ranks, predicate,
-            args.mode, args.max_stored, sys.stdout,
-        )
-    except ResourceLimitError as exc:
-        stats = exc.stats
-        print(f"resource-error: {exc}", file=sys.stderr)
-        if stats is not None:
-            print(f"partial: cuts={stats.cuts_visited} peak_stored_cuts={stats.peak_stored_cuts}")
+    report = _run(
+        args.algo, name, comp, window, args.ranks, predicate,
+        args.mode, args.max_stored, sys.stdout,
+    )
+    if report.status == "resource-error":
+        print(f"resource-error: {report.error}", file=sys.stderr)
+        print(f"partial: cuts={report.cuts} peak_stored_cuts={report.peak_stored_cuts}")
         return 3
+    if report.status == "error":
+        raise UsageError(report.error)
     if args.mode == "first-match":
-        if matched:
+        if report.first_match_rank is not None:
             print(f"match rank={report.first_match_rank} cut={report.first_match_cut}")
         else:
             print("no-match")
@@ -363,45 +403,23 @@ def cmd_traverse(args) -> int:
     return 0
 
 
-def _collect_rank_sets(algo, comp, part, max_rank) -> dict[int, set]:
-    sets: dict[int, set] = {}
-
-    def keep(cut, r, _remap=None):
-        sets.setdefault(r, set()).add(tuple(cut))
-        return True
-
-    if algo == "uniflow":
-        traverse_rank_range(part, 0, max_rank, lambda cut, r, remap_fn: keep(remap_fn(), r))
-    elif algo == "traditional":
-        traditional_bfs(comp, lambda cut, r, remap_fn: keep(cut, r), rank_filter=(0, max_rank))
-    else:
-        for r, cuts in brute_force_downsets(comp).items():
-            if r <= max_rank:
-                sets[r] = set(cuts)
-    return sets
-
-
 def cmd_verify(args) -> int:
     name, comp = _load_trace(args.trace)
     max_rank = comp.event_count if args.max_rank is None else args.max_rank
     if not 0 <= max_rank <= comp.event_count:
         raise UsageError(f"max rank {max_rank} outside 0..{comp.event_count}")
-    part, _ = _prepare_partition(comp)
-    if not verify_uniflow(part):
+    if not verify_uniflow(build_uniflow_partition(comp)):
         print(f"trace={name}: partition failed the uniflow check")
         return 1
-    results = {
-        "uniflow": _collect_rank_sets("uniflow", comp, part, max_rank),
-        "traditional": _collect_rank_sets("traditional", comp, part, max_rank),
-    }
-    if comp.event_count <= args.brute_guard:
-        results["brute"] = _collect_rank_sets("brute", comp, part, max_rank)
-    if args.corrupt_rank is not None:
-        # test hook: damage the uniflow answer at one rank to prove the
-        # comparison actually bites
-        bucket = results["uniflow"].setdefault(args.corrupt_rank, set())
-        bucket.add((-1,) * comp.n)
-    names = sorted(results)
+    names = sorted(
+        a for a in ENUMERATORS
+        if a != "brute" or comp.event_count <= BRUTE_FORCE_MAX_EVENTS
+    )
+    results: dict[str, dict[int, set]] = {}
+    for a in names:
+        sets: dict[int, set] = {}
+        ENUMERATORS[a](comp, (0, max_rank), lambda cut, r: sets.setdefault(r, set()).add(cut), None)
+        results[a] = sets
     print(f"trace={name} enumerators={','.join(names)} max_rank={max_rank}")
     for r in range(0, max_rank + 1):
         per = {a: results[a].get(r, set()) for a in names}
@@ -424,6 +442,9 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
+    for algo in algos:
+        if algo not in ENUMERATORS:
+            raise UsageError(f"unknown algorithm {algo!r}")
     reports: list[RunReport] = []
     for path in args.traces:
         name, comp = _load_trace(path)
@@ -431,23 +452,10 @@ def cmd_bench(args) -> int:
             window = parse_rank_spec(ranks_text, comp.event_count)
             for algo in algos:
                 for rep in range(args.reps):
-                    try:
-                        report, _ = _run_enumerator(
-                            algo, name, comp, window, ranks_text,
-                            None, "count", args.max_stored, sys.stdout,
-                        )
-                    except ResourceLimitError as exc:
-                        stats = exc.stats
-                        report = RunReport(
-                            algorithm=algo, trace=name, n=comp.n,
-                            events=comp.event_count, n_u=None, ranks=ranks_text,
-                            cuts=stats.cuts_visited if stats else None,
-                            first_match_rank=None, first_match_cut=None,
-                            partition_s=0.0, traverse_s=stats.elapsed_s if stats else 0.0,
-                            peak_stored_cuts=stats.peak_stored_cuts if stats else None,
-                            aux_int_peak=None, status="resource-error", error=str(exc),
-                        )
-                    reports.append(report)
+                    reports.append(_run(
+                        algo, name, comp, window, ranks_text,
+                        None, "count", args.max_stored, sys.stdout,
+                    ))
     _print_report_table(reports)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
@@ -497,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("traverse", help="enumerate consistent cuts")
     p.add_argument("trace")
-    p.add_argument("--algo", choices=["uniflow", "traditional", "brute"], default="uniflow")
+    p.add_argument("--algo", choices=list(ENUMERATORS), default="uniflow")
     p.add_argument("--ranks", default="all", help="all, R, or R1..R2")
     p.add_argument("--predicate", default=None, help="e.g. 'p2>=2 & p1>=2'")
     p.add_argument("--mode", choices=["count", "list", "first-match"], default="count")
@@ -508,9 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="cross-check the enumerators on a trace")
     p.add_argument("trace")
     p.add_argument("--max-rank", type=int, default=None)
-    p.add_argument("--brute-guard", type=int, default=25,
-                   help="skip the brute-force oracle above this many events")
-    p.add_argument("--corrupt-rank", type=int, default=None, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="batch enumerator runs with a CSV report")

@@ -62,10 +62,9 @@ class TraversalStats:
     of each call, which is how rank-slice isolation is asserted.
     ``component_ops`` counts inner-loop vector-component operations and backs
     the per-cut cost measurements.  ``peak_live_cuts`` / ``aux_int_peak``
-    track the most cut vectors and auxiliary integers simultaneously retained
-    by the traversal machinery.  The walk writes them once per rank; the
-    ``live_cuts`` / ``aux_ints`` running counts serve the single-step
-    functions, which count call by call.
+    are the cut vectors and auxiliary integers the walk retains at once,
+    structural sizes that :func:`traverse_rank_range` writes once per rank;
+    the single-step functions leave them at 0.
     """
 
     cuts_visited: int = 0
@@ -77,24 +76,6 @@ class TraversalStats:
     aux_int_peak: int = 0
     early_stopped: bool = False
     elapsed_s: float = 0.0
-    live_cuts: int = 0
-    aux_ints: int = 0
-
-    def cut_acquire(self) -> None:
-        self.live_cuts += 1
-        if self.live_cuts > self.peak_live_cuts:
-            self.peak_live_cuts = self.live_cuts
-
-    def cut_free(self) -> None:
-        self.live_cuts -= 1
-
-    def aux_add(self, count: int) -> None:
-        self.aux_ints += count
-        if self.aux_ints > self.aux_int_peak:
-            self.aux_int_peak = self.aux_ints
-
-    def aux_drop(self, count: int) -> None:
-        self.aux_ints -= count
 
     def count_min_cut(self, r: int) -> None:
         self.min_cut_calls[r] = self.min_cut_calls.get(r, 0) + 1
@@ -137,7 +118,6 @@ def get_min_cut(
     ops = _fill_to_rank(buf, r - rk, part.chain_lengths)
     if stats is not None:
         stats.count_min_cut(r)
-        stats.cut_acquire()
         stats.component_ops += ops
     return tuple(buf)
 
@@ -165,8 +145,6 @@ def get_successor(
         if g[i] >= lengths[i]:
             continue
         if K is None:
-            if stats is not None:
-                stats.cut_acquire()
             K = list(g)
         else:
             K[:] = g
@@ -190,8 +168,6 @@ def get_successor(
                 stats.count_min_cut(r)
                 stats.component_ops += ops
             return tuple(K)
-    if K is not None and stats is not None:
-        stats.cut_free()
     return None
 
 
@@ -276,21 +252,17 @@ def get_successor_optimized(
     chain costs one row combination instead of a rescan of all higher
     chains.  The step itself is the walk's :func:`_successor_step`.
     """
-    n_u = part.n_u
     if stats is not None:
         stats.count_successor(r)
-        stats.aux_add(n_u * n_u)
     proj = compute_projections(g, part, stats)
     K = list(g)
     bumped, ops = _successor_step(
         K, part.chain_lengths, part.clock_rows, [row[:i] for i, row in enumerate(proj)]
     )
     if stats is not None:
-        stats.aux_drop(n_u * n_u)
         stats.component_ops += ops
         if bumped:
             stats.count_min_cut(r)
-            stats.cut_acquire()
     return tuple(K) if bumped else None
 
 
@@ -342,8 +314,6 @@ def _remap_unchecked(
     n = comp.n
     back = part.back_map
     chains = part.chains
-    if stats is not None:
-        stats.aux_add(n)
     indicator = [0] * n
     for i, k in enumerate(g_u):
         if k:
@@ -362,8 +332,6 @@ def _remap_unchecked(
                     out[t] = v
             if stats is not None:
                 stats.component_ops += n
-    if stats is not None:
-        stats.aux_drop(n)
     return tuple(out)
 
 

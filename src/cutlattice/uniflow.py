@@ -26,6 +26,7 @@ from .model import (
     Event,
     UsageError,
     concurrent,
+    fold_clocks,
     happened_before,
     is_consistent,
 )
@@ -185,27 +186,21 @@ def regenerate_vector_clocks(part: UniflowPartition) -> UniflowPartition:
     with the implicit predecessor edge along each uniflow chain included.
     """
     comp = part.source
-    n_u = part.n_u
-    pos: dict[int, int] = {}
-    prev_on_chain: dict[int, int | None] = {}
-    for chain in part.chains:
-        for k, eid in enumerate(chain):
-            pos[eid] = k + 1
-            prev_on_chain[eid] = chain[k - 1] if k else None
-    uvc: dict[int, Clock] = {}
-    for eid in comp.topo_order:
-        ev = comp.events[eid]
-        acc = [0] * n_u
-        preds = list(ev.deps)
-        if prev_on_chain[eid] is not None:
-            preds.append(prev_on_chain[eid])
-        for d in preds:
-            dvc = uvc[d]
-            for i in range(n_u):
-                if dvc[i] > acc[i]:
-                    acc[i] = dvc[i]
-        acc[part.chain_of[eid] - 1] = pos[eid]
-        uvc[eid] = tuple(acc)
+    events = comp.events
+    chain_of = part.chain_of
+    position = {eid: k for chain in part.chains for k, eid in enumerate(chain, start=1)}
+    below = {eid: chain[k - 1] for chain in part.chains for k, eid in enumerate(chain) if k}
+
+    def preds(eid: int) -> frozenset[int]:
+        # The event below on the uniflow chain is often a dep already; as a
+        # set member it is folded once.
+        deps = events[eid].deps
+        return deps | {below[eid]} if eid in below else deps
+
+    uvc = fold_clocks(
+        ((eid, preds(eid), chain_of[eid] - 1, position[eid]) for eid in comp.topo_order),
+        part.n_u,
+    )
     return UniflowPartition(
         source=comp, chains=part.chains, chain_of=part.chain_of, uvc=uvc
     )

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from cutlattice.baselines import brute_force_downsets, enabled_events, traditional_bfs
+from cutlattice.baselines import brute_force_downsets, traditional_bfs
 from cutlattice.model import (
     ResourceLimitError,
     UsageError,
@@ -20,23 +20,6 @@ from conftest import oracle_rank_sets, random_computation
 
 def dv(*values):
     return cut_from_display(values)
-
-
-class TestEnabledEvents:
-    def test_empty_cut_enables_both_chains(self, six_event):
-        assert enabled_events(dv(0, 0), six_event) == {1, 2}
-
-    def test_sink_enables_nothing(self, six_event):
-        assert enabled_events(dv(3, 3), six_event) == set()
-
-    def test_upper_chain_start_after_lower_chain_done(self, six_event):
-        # the only move from [0,3] is the first event of the upper chain,
-        # reaching the consistent cut [1,3]
-        assert enabled_events(dv(0, 3), six_event) == {2}
-
-    def test_blocked_by_missing_message(self, six_event):
-        # from [1,0] the upper chain's next event still needs P1#2
-        assert enabled_events(dv(1, 0), six_event) == {1}
 
 
 class TestTraditionalBfs:

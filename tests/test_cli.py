@@ -6,6 +6,7 @@ import io
 
 import pytest
 
+from cutlattice import cli
 from cutlattice.baselines import brute_force_downsets
 from cutlattice.cli import (
     PredicateSpec,
@@ -25,6 +26,15 @@ CROSSING = "n=2\n1 1\n2 2\n3 2 1\n4 1 2\n"
 def six_event_path(tmp_path):
     path = tmp_path / "figsix.trace"
     path.write_text(SIX_EVENT)
+    return str(path)
+
+
+@pytest.fixture
+def t28_path(tmp_path):
+    """A 28-event trace, above the brute-force oracle's 25-event limit."""
+    path = tmp_path / "t28.trace"
+    comp = generate_random(GenSpec(n=3, total_events=28, message_probability=0.3, seed=7))
+    path.write_text(serialize_trace(comp, name="t28"))
     return str(path)
 
 
@@ -179,11 +189,23 @@ class TestVerify:
                      "-o", str(path)]) == 0
         assert main(["verify", str(path)]) == 0
 
-    def test_corruption_detected_at_rank(self, six_event_path, capsys):
-        assert main(["verify", six_event_path, "--corrupt-rank", "2"]) == 1
+    def test_corruption_detected_at_rank(self, six_event_path, capsys, monkeypatch):
+        uniflow = cli.ENUMERATORS["uniflow"]
+
+        def corrupted(comp, window, visitor, max_stored):
+            record = uniflow(comp, window, visitor, max_stored)
+            visitor((-1,) * comp.n, 2)
+            return record
+
+        monkeypatch.setitem(cli.ENUMERATORS, "uniflow", corrupted)
+        assert main(["verify", six_event_path]) == 1
         out = capsys.readouterr().out
         assert "MISMATCH at rank 2" in out
         assert "rank 1: " in out  # earlier ranks compared clean
+
+    def test_brute_only_within_its_event_limit(self, t28_path, capsys):
+        assert main(["verify", t28_path]) == 0
+        assert "enumerators=traditional,uniflow " in capsys.readouterr().out
 
     def test_max_rank_window(self, six_event_path, capsys):
         assert main(["verify", six_event_path, "--max-rank", "3"]) == 0
@@ -227,6 +249,24 @@ class TestBench:
         statuses = {r.algorithm: r.status for r in reports}
         assert statuses["traditional"] == "resource-error"
         assert statuses["uniflow"] == "ok"
+
+    def test_usage_failure_recorded_not_fatal(self, t28_path, tmp_path, capsys):
+        csv_path = tmp_path / "report.csv"
+        assert main([
+            "bench", t28_path, "--algos", "uniflow,brute,traditional",
+            "--csv", str(csv_path),
+        ]) == 0
+        with open(csv_path, encoding="utf-8") as fh:
+            reports = {r.algorithm: r for r in read_reports_csv(fh)}
+        assert reports["brute"].status == "error"
+        assert reports["brute"].error == (
+            "brute-force enumeration guarded to 25 events; got 28"
+        )
+        assert reports["uniflow"].status == reports["traditional"].status == "ok"
+        assert reports["uniflow"].cuts == reports["traditional"].cuts
+
+    def test_unknown_algorithm_is_usage_error(self, six_event_path, capsys):
+        assert main(["bench", six_event_path, "--algos", "uniflow,dfs"]) == 2
 
     def test_empty_trace_row(self, tmp_path, capsys):
         path = tmp_path / "empty.trace"

@@ -9,9 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cutlattice.model import (
-    Computation,
     UsageError,
-    compute_vector_clocks,
     concurrent,
     cut_from_display,
     cut_to_display,
@@ -120,24 +118,6 @@ class TestComputeVectorClocks:
         preds = closure_predecessors(comp)
         for eid in comp.topo_order:
             assert comp.events[eid].vc == oracle_vector_clock(comp, eid, preds)
-
-    def test_recompute_is_identity(self, six_event):
-        assert compute_vector_clocks(six_event) == six_event
-
-    def test_cycle_detected(self):
-        base = make_computation(1, [(1, 1, []), (2, 1, [])])
-        ev1 = base.events[1]
-        bad = Computation(
-            n=1,
-            chains=base.chains,
-            events={
-                1: type(ev1)(1, 1, 1, frozenset({2}), ev1.vc),
-                2: base.events[2],
-            },
-            topo_order=base.topo_order,
-        )
-        with pytest.raises(UsageError):
-            compute_vector_clocks(bad)
 
 
 class TestMakeComputationValidation:
