@@ -11,14 +11,13 @@ else is checked against.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable
 
 from .model import Computation, Cut, ResourceLimitError, UsageError
 
-# The most events the brute-force oracle accepts by default: its recursion
-# visits up to 2**|E| leaves.
+# The most events the brute-force oracle accepts: its recursion visits up to
+# 2**|E| leaves.
 BRUTE_FORCE_MAX_EVENTS = 25
 
 
@@ -37,7 +36,6 @@ class LevelBfsStats:
     peak_stored_cuts: int = 0
     max_level_width: int = 0
     early_stopped: bool = False
-    elapsed_s: float = 0.0
 
 
 def traditional_bfs(
@@ -63,7 +61,6 @@ def traditional_bfs(
     if not 0 <= r1 <= r2 <= total:
         raise UsageError(f"rank range {r1}..{r2} invalid for {total} events")
     stats = LevelBfsStats()
-    start = time.perf_counter()
     lengths = comp.chain_lengths
     rows = comp.clock_rows
     n = comp.n
@@ -80,7 +77,6 @@ def traditional_bfs(
                 if visitor is not None:
                     if visitor(cut, rank, lambda _c=cut: _c) is False:
                         stats.early_stopped = True
-                        stats.elapsed_s = time.perf_counter() - start
                         return stats
         if rank >= r2 or not level:
             break
@@ -102,30 +98,27 @@ def traditional_bfs(
             if stored > stats.peak_stored_cuts:
                 stats.peak_stored_cuts = stored
             if max_stored_cuts is not None and stored > max_stored_cuts:
-                stats.elapsed_s = time.perf_counter() - start
                 raise ResourceLimitError(
                     f"stored-cut cap {max_stored_cuts} exceeded at rank {rank}",
                     stats=stats,
                 )
         level = nxt
         rank += 1
-    stats.elapsed_s = time.perf_counter() - start
     return stats
 
 
-def brute_force_downsets(
-    comp: Computation, max_events: int = BRUTE_FORCE_MAX_EVENTS
-) -> dict[int, set[Cut]]:
+def brute_force_downsets(comp: Computation) -> dict[int, set[Cut]]:
     """All consistent cuts, grouped by rank, by literal downset enumeration.
 
     Recursive extension over the events in topological order: each event may
     be included only once its direct dependencies are in, so every leaf of
     the recursion is a distinct downset and nothing else is ever generated.
-    Guarded to small computations; this is an oracle, not a workhorse.
+    Guarded to ``BRUTE_FORCE_MAX_EVENTS`` events; this is an oracle, not a
+    workhorse.
     """
-    if comp.event_count > max_events:
+    if comp.event_count > BRUTE_FORCE_MAX_EVENTS:
         raise UsageError(
-            f"brute-force enumeration guarded to {max_events} events; "
+            f"brute-force enumeration guarded to {BRUTE_FORCE_MAX_EVENTS} events; "
             f"got {comp.event_count}"
         )
     by_rank: dict[int, set[Cut]] = {}

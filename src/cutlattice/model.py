@@ -192,25 +192,6 @@ def concurrent(a: Sequence[int], b: Sequence[int]) -> bool:
     return not happened_before(a, b) and not happened_before(b, a)
 
 
-def rank(cut: Sequence[int]) -> int:
-    """Number of events contained in the cut."""
-    return sum(cut)
-
-
-def lexical_compare(g: Sequence[int], h: Sequence[int]) -> int:
-    """Compare cuts with the highest-numbered chain most significant.
-
-    Returns a negative value, zero, or a positive value as ``g`` is
-    lexically below, equal to, or above ``h``.
-    """
-    if len(g) != len(h):
-        raise UsageError(f"cut lengths differ: {len(g)} vs {len(h)}")
-    for i in range(len(g) - 1, -1, -1):
-        if g[i] != h[i]:
-            return -1 if g[i] < h[i] else 1
-    return 0
-
-
 def is_consistent(cut: Sequence[int], source) -> bool:
     """True iff ``cut`` is a consistent cut of ``source``.
 
@@ -238,11 +219,6 @@ def is_consistent(cut: Sequence[int], source) -> bool:
 def cut_from_display(values: Sequence[int]) -> Cut:
     """Convert a ``[c_n, ..., c_1]`` rendering into internal chain order."""
     return tuple(reversed(tuple(values)))
-
-
-def cut_to_display(cut: Sequence[int]) -> tuple[int, ...]:
-    """Internal chain order -> ``[c_n, ..., c_1]`` rendering order."""
-    return tuple(reversed(tuple(cut)))
 
 
 def format_cut(cut: Sequence[int]) -> str:

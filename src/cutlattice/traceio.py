@@ -87,7 +87,8 @@ def parse_document(data: bytes | str) -> TraceDocument:
 
     Rejects, with the offending line number: missing or malformed header,
     non-integer fields, duplicate ids, out-of-range processes, and
-    dependencies that do not refer to an earlier record.
+    dependencies that do not refer to an earlier record.  Also rejects a
+    ``trace-format`` tag other than :data:`FORMAT_VERSION`.
     """
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     meta: dict[str, str] = {}
@@ -144,6 +145,8 @@ def parse_document(data: bytes | str) -> TraceDocument:
             version = int(meta["trace-format"])
         except ValueError:
             raise TraceError(f"bad trace-format tag {meta['trace-format']!r}") from None
+        if version != FORMAT_VERSION:
+            raise TraceError(f"unsupported trace-format {version}; expected {FORMAT_VERSION}")
     seed: int | None = None
     if "seed" in meta:
         try:

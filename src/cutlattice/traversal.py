@@ -35,6 +35,8 @@ over the uniflow chains, and ``remap()`` translates it to the original
 process chains.  During the visit ``remap()`` returns row 0 of the
 original-clock table: a uniflow chain is totally ordered by causality, so the
 clock of its frontier event already covers every earlier event on the chain.
+Both the table and the one-shot :func:`remap` read the partition's
+``origin_rows``, the original clock of every event laid out chain by chain.
 A ``remap`` kept and called after its visit has ended falls back to the
 one-shot :func:`remap` of its own cut, so it still returns that cut's image.
 Returning ``False`` from the visitor stops the traversal early; any other
@@ -58,13 +60,13 @@ Visitor = Callable[[Cut, int, Callable[[], Cut]], object]
 class TraversalStats:
     """Counters and space accounting for one traversal.
 
-    ``min_cut_calls`` and ``successor_calls`` are keyed by the rank argument
-    of each call, which is how rank-slice isolation is asserted.
-    ``component_ops`` counts inner-loop vector-component operations and backs
-    the per-cut cost measurements.  ``peak_live_cuts`` / ``aux_int_peak``
-    are the cut vectors and auxiliary integers the walk retains at once,
-    structural sizes that :func:`traverse_rank_range` writes once per rank;
-    the single-step functions leave them at 0.
+    Only :func:`traverse_rank_range` writes the per-rank counters, once per
+    rank.  ``min_cut_calls`` and ``successor_calls`` are keyed by rank, which
+    is how rank-slice isolation is asserted.  ``component_ops`` counts
+    inner-loop vector-component operations and backs the per-cut cost
+    measurements; :func:`get_successor_optimized` adds to it as well.
+    ``peak_live_cuts`` / ``aux_int_peak`` are the cut vectors and auxiliary
+    integers the walk retains at once.
     """
 
     cuts_visited: int = 0
@@ -76,12 +78,6 @@ class TraversalStats:
     aux_int_peak: int = 0
     early_stopped: bool = False
     elapsed_s: float = 0.0
-
-    def count_min_cut(self, r: int) -> None:
-        self.min_cut_calls[r] = self.min_cut_calls.get(r, 0) + 1
-
-    def count_successor(self, r: int) -> None:
-        self.successor_calls[r] = self.successor_calls.get(r, 0) + 1
 
 
 def _fill_to_rank(buf: list[int], d: int, lengths: Sequence[int]) -> int:
@@ -100,9 +96,7 @@ def _fill_to_rank(buf: list[int], d: int, lengths: Sequence[int]) -> int:
     return j
 
 
-def get_min_cut(
-    g: Sequence[int], r: int, part: UniflowPartition, stats: TraversalStats | None = None
-) -> Cut:
+def get_min_cut(g: Sequence[int], r: int, part: UniflowPartition) -> Cut:
     """Lexically smallest consistent cut of rank ``r`` at or above ``g``.
 
     ``g`` must be consistent.  The missing ``r - rank(g)`` events are taken
@@ -115,16 +109,11 @@ def get_min_cut(
     if r > part.event_count:
         raise UsageError(f"target rank {r} exceeds the event count {part.event_count}")
     buf = list(g)
-    ops = _fill_to_rank(buf, r - rk, part.chain_lengths)
-    if stats is not None:
-        stats.count_min_cut(r)
-        stats.component_ops += ops
+    _fill_to_rank(buf, r - rk, part.chain_lengths)
     return tuple(buf)
 
 
-def get_successor(
-    g: Sequence[int], r: int, part: UniflowPartition, stats: TraversalStats | None = None
-) -> Cut | None:
+def get_successor(g: Sequence[int], r: int, part: UniflowPartition) -> Cut | None:
     """Least consistent cut of rank ``r`` lexically above ``g``, or ``None``.
 
     ``g`` must be a consistent cut of rank ``r``.  Candidate chains are tried
@@ -138,8 +127,6 @@ def get_successor(
     rows = part.clock_rows
     lengths = part.chain_lengths
     n_u = len(lengths)
-    if stats is not None:
-        stats.count_successor(r)
     K: list[int] | None = None
     for i in range(1, n_u):
         if g[i] >= lengths[i]:
@@ -159,27 +146,23 @@ def get_successor(
                     v = vc[t]
                     if v > K[t]:
                         K[t] = v
-                if stats is not None:
-                    stats.component_ops += i
         rk = sum(K)
         if rk <= r:
-            ops = _fill_to_rank(K, r - rk, lengths)
-            if stats is not None:
-                stats.count_min_cut(r)
-                stats.component_ops += ops
+            _fill_to_rank(K, r - rk, lengths)
             return tuple(K)
     return None
 
 
-def compute_projections(
-    g: Sequence[int], part: UniflowPartition, stats: TraversalStats | None = None
-) -> list[Clock]:
+def compute_projections(g: Sequence[int], part: UniflowPartition) -> list[Clock]:
     """Accumulated causal projections of a cut's frontier, one row per chain.
 
     Row ``i`` (index ``i - 1``) combines the clocks of the frontier events on
     chains ``i..n_u``; only components ``1..i - 1`` of a row are ever
     consumed.  The bottom row always reproduces the cut itself.  Empty chains
     contribute nothing (their row aliases the row above).
+
+    This is the from-scratch reference; the walk refreshes its rows
+    incrementally with :func:`_refresh_rows`.
     """
     rows = part.clock_rows
     n_u = part.n_u
@@ -190,8 +173,6 @@ def compute_projections(
         if k:
             vc = rows[i][k - 1]
             above = tuple(a if a > b else b for a, b in zip(vc, above))
-            if stats is not None:
-                stats.component_ops += n_u
         proj[i] = above
     return proj
 
@@ -250,19 +231,17 @@ def get_successor_optimized(
 
     Projections are computed once up front, after which every candidate
     chain costs one row combination instead of a rescan of all higher
-    chains.  The step itself is the walk's :func:`_successor_step`.
+    chains.  The rows and the step are the walk's own
+    :func:`_refresh_rows` and :func:`_successor_step`; ``stats`` receives
+    their component operations.
     """
-    if stats is not None:
-        stats.count_successor(r)
-    proj = compute_projections(g, part, stats)
+    rows = part.clock_rows
+    proj: list[Sequence[int]] = [[]] * part.n_u
     K = list(g)
-    bumped, ops = _successor_step(
-        K, part.chain_lengths, part.clock_rows, [row[:i] for i, row in enumerate(proj)]
-    )
+    ops = _refresh_rows(proj, K, rows, part.n_u)
+    bumped, step_ops = _successor_step(K, part.chain_lengths, rows, proj)
     if stats is not None:
-        stats.component_ops += ops
-        if bumped:
-            stats.count_min_cut(r)
+        stats.component_ops += ops + step_ops
     return tuple(K) if bumped else None
 
 
@@ -293,46 +272,25 @@ def _refresh_rows(
     return ops
 
 
-def remap(g_u: Sequence[int], part: UniflowPartition, stats: TraversalStats | None = None) -> Cut:
+def remap(g_u: Sequence[int], part: UniflowPartition) -> Cut:
     """Translate a consistent uniflow cut to the original process chains.
 
     The result is the unique consistent cut of the source computation with
-    the same event set.  Frontier events are mapped back to their original
-    ``(process, index)`` pairs; taking the componentwise max of the indexed
-    events' original clocks then recovers the contributions of non-frontier
-    events through causal closure.
+    the same event set: the componentwise max of the original clocks of the
+    frontier events (``part.origin_rows``), which covers every non-frontier
+    event through causal closure.
     """
     if not is_consistent(g_u, part):
         raise UsageError(f"cut {tuple(g_u)} is not consistent in this partition")
-    return _remap_unchecked(g_u, part, stats)
+    return _remap_unchecked(g_u, part)
 
 
-def _remap_unchecked(
-    g_u: Sequence[int], part: UniflowPartition, stats: TraversalStats | None
-) -> Cut:
-    comp = part.source
-    n = comp.n
-    back = part.back_map
-    chains = part.chains
-    indicator = [0] * n
-    for i, k in enumerate(g_u):
+def _remap_unchecked(g_u: Sequence[int], part: UniflowPartition) -> Cut:
+    out: Clock = (0,) * part.source.n
+    for row, k in zip(part.origin_rows, g_u):
         if k:
-            c, e = back[chains[i][k - 1]]
-            if e > indicator[c - 1]:
-                indicator[c - 1] = e
-    rows = comp.clock_rows
-    out = [0] * n
-    for j in range(n):
-        kj = indicator[j]
-        if kj:
-            vc = rows[j][kj - 1]
-            for t in range(n):
-                v = vc[t]
-                if v > out[t]:
-                    out[t] = v
-            if stats is not None:
-                stats.component_ops += n
-    return tuple(out)
+            out = tuple([a if a > b else b for a, b in zip(row[k - 1], out)])
+    return out
 
 
 def traverse_bfs(part: UniflowPartition, visitor: Visitor | None = None) -> TraversalStats:
@@ -368,7 +326,7 @@ def traverse_rank_range(
     proj_ints = n_u * (n_u - 1) // 2
     zero = (0,) * n
     table: list[Clock] | None = None  # the original-clock table, built on first remap()
-    origin: list[list[Clock]] = []  # original clocks along each uniflow chain
+    origin: Sequence[Sequence[Clock]] = ()  # original clocks along each uniflow chain
     stale = n_u  # rows 0..stale - 1 of the table may be out of date
     current: Cut | None = None  # the snapshot of the visit in progress
     remap_ops = 0
@@ -376,11 +334,10 @@ def traverse_rank_range(
     def remap_visit(snap: Cut) -> Cut:
         nonlocal table, origin, stale, remap_ops
         if snap is not current:
-            return _remap_unchecked(snap, part, None)
+            return _remap_unchecked(snap, part)
         if table is None:
             table = [zero] * (n_u + 1)  # the last row stands for no chains
-            events = part.source.events
-            origin = [[events[eid].vc for eid in chain] for chain in part.chains]
+            origin = part.origin_rows
             stale = n_u
         above = table[stale]
         for i in range(stale - 1, -1, -1):

@@ -38,9 +38,10 @@ class UniflowPartition:
 
     ``chains[i]`` lists event ids in chain order for chain ``i + 1``.
     ``uvc`` maps each event to its vector clock over the *uniflow* chains and
-    is ``None`` until :func:`regenerate_vector_clocks` has run.  ``back_map``
-    recovers each event's original ``(process, index)`` pair, which is what
-    :func:`cutlattice.traversal.remap` consumes.
+    is ``None`` until :func:`regenerate_vector_clocks` has run.
+    ``origin_rows`` holds each event's *original* vector clock, laid out like
+    ``clock_rows``; it is what :func:`cutlattice.traversal.remap` and the
+    walk's ``remap()`` fold.
 
     Instances are immutable once built and safe to share between threads.
     """
@@ -63,13 +64,11 @@ class UniflowPartition:
         return tuple(len(c) for c in self.chains)
 
     @cached_property
-    def back_map(self) -> dict[int, tuple[int, int]]:
+    def origin_rows(self) -> tuple[tuple[Clock, ...], ...]:
+        """Per-chain original clocks: ``origin_rows[i][k]`` is the clock, over
+        the source's processes, of the (k+1)-th event on chain i+1."""
         events = self.source.events
-        return {
-            eid: (events[eid].process, events[eid].index_on_process)
-            for chain in self.chains
-            for eid in chain
-        }
+        return tuple(tuple(events[eid].vc for eid in chain) for chain in self.chains)
 
     @cached_property
     def clock_rows(self) -> tuple[tuple[Clock, ...], ...]:

@@ -1,9 +1,11 @@
-"""The public API: the demos run, and every name their callers import from
-the package top level is exported there."""
+"""The public API: the demos run, every name their callers import from the
+package top level is exported there, and every name the demos and the
+benchmark import from a submodule exists in it."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -17,15 +19,19 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # Scripts outside the package that import from its top level.
 CALLERS = DEMOS + [ROOT / "perfbench" / "workloads.py"]
+# Every script outside the package, for imports from its submodules.
+SCRIPTS = DEMOS + sorted((ROOT / "perfbench").glob("*.py"))
 
 
-def top_level_imports(path: Path) -> set[str]:
-    """Names a script imports with ``from cutlattice import ...``."""
+def package_imports(path: Path) -> set[tuple[str, str]]:
+    """``(module, name)`` pairs a script imports with ``from cutlattice[.<sub>] import ...``."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     return {
-        alias.name
+        (node.module, alias.name)
         for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module == "cutlattice" and not node.level
+        if isinstance(node, ast.ImportFrom)
+        and not node.level
+        and (node.module or "").split(".")[0] == "cutlattice"
         for alias in node.names
     }
 
@@ -50,6 +56,22 @@ def test_all_names_import():
 
 @pytest.mark.parametrize("caller", CALLERS, ids=lambda p: p.name)
 def test_caller_imports_are_exported(caller):
-    used = top_level_imports(caller)
+    used = {name for module, name in package_imports(caller) if module == "cutlattice"}
     assert used, f"{caller.name} imports nothing from cutlattice"
     assert used <= set(cutlattice.__all__), used - set(cutlattice.__all__)
+
+
+def test_submodule_imports_resolve():
+    pairs = {
+        (path.name, module, name)
+        for path in SCRIPTS
+        for module, name in package_imports(path)
+        if module != "cutlattice"
+    }
+    assert pairs, "no script imports from a cutlattice submodule"
+    missing = sorted(
+        (script, module, name)
+        for script, module, name in pairs
+        if not hasattr(importlib.import_module(module), name)
+    )
+    assert not missing, missing

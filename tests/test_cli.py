@@ -167,6 +167,14 @@ class TestTraverse:
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         assert main(["traverse", str(tmp_path / "nope.trace")]) == 2
 
+    def test_unknown_trace_format_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "v2.trace"
+        path.write_text("# trace-format: 2\nn=2\n1 1\n2 2 1\n")
+        assert main(["traverse", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "cuts=" not in captured.out
+        assert "trace-format 2" in captured.err
+
     def test_memory_cap_is_resource_error(self, tmp_path, capsys):
         comp = generate_random(GenSpec(n=6, total_events=24, message_probability=0.0, seed=3))
         path = tmp_path / "wide.trace"

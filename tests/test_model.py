@@ -12,13 +12,10 @@ from cutlattice.model import (
     UsageError,
     concurrent,
     cut_from_display,
-    cut_to_display,
     format_cut,
     happened_before,
     is_consistent,
-    lexical_compare,
     make_computation,
-    rank,
 )
 
 from conftest import (
@@ -76,32 +73,6 @@ class TestIsConsistent:
             is_consistent((4, 0), six_event)
         with pytest.raises(UsageError):
             is_consistent((0, 0, 0), six_event)
-
-
-class TestRank:
-    def test_full(self):
-        assert rank(dv(3, 3)) == 6
-
-    def test_empty(self):
-        assert rank(dv(0, 0)) == 0
-
-    def test_three_chain(self):
-        assert rank(dv(1, 2, 3)) == 6
-
-
-class TestLexicalCompare:
-    def test_high_chain_most_significant(self):
-        assert lexical_compare(dv(1, 2), dv(2, 1)) < 0
-
-    def test_three_chains(self):
-        assert lexical_compare(dv(0, 1, 1), dv(0, 2, 1)) < 0
-
-    def test_equal(self):
-        assert lexical_compare(dv(1, 1), dv(1, 1)) == 0
-
-    def test_length_mismatch(self):
-        with pytest.raises(UsageError):
-            lexical_compare((1,), (1, 2))
 
 
 class TestComputeVectorClocks:
@@ -173,18 +144,6 @@ class TestOrderInvariants:
             literal = all(preds[e] <= members for e in members)
             assert is_consistent(cut, comp) == literal
 
-    def test_lexical_compare_total_order(self, six_event):
-        ranges = [range(m + 1) for m in six_event.chain_lengths]
-        cuts = list(itertools.product(*ranges))
-        for g, h in itertools.product(cuts, repeat=2):
-            cmp_gh = lexical_compare(g, h)
-            cmp_hg = lexical_compare(h, g)
-            assert cmp_gh == -cmp_hg
-            assert (cmp_gh == 0) == (g == h)
-        for g, h, k in itertools.permutations(cuts, 3):
-            if lexical_compare(g, h) < 0 and lexical_compare(h, k) < 0:
-                assert lexical_compare(g, k) < 0
-
 
 clock_pairs = st.integers(min_value=1, max_value=6).flatmap(
     lambda k: st.tuples(
@@ -200,17 +159,9 @@ def test_happened_before_asymmetric(pair):
     assert not (happened_before(a, b) and happened_before(b, a))
 
 
-@given(clock_pairs)
-def test_lexical_compare_matches_reversed_tuple_order(pair):
-    g, h = pair
-    expected = (g[::-1] > h[::-1]) - (g[::-1] < h[::-1])
-    assert lexical_compare(g, h) == expected
-
-
 @given(st.lists(st.integers(0, 9), max_size=6))
 def test_display_round_trip(values):
     cut = cut_from_display(values)
-    assert list(cut_to_display(cut)) == values
     assert format_cut(cut) == "[" + ",".join(map(str, values)) + "]"
 
 

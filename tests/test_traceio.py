@@ -101,6 +101,10 @@ class TestParseTrace:
         assert doc.seed == 7
         assert doc.version == 1
 
+    def test_unknown_format_version_rejected(self):
+        with pytest.raises(TraceError, match="unsupported trace-format 2"):
+            parse_document("# trace-format: 2\nn=2\n1 1\n2 2 1\n")
+
 
 class TestSerializeTrace:
     def test_round_trip_six_event(self):

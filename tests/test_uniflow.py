@@ -269,17 +269,23 @@ class TestCutCountInvariance:
         }
 
 
-class TestBackMap:
-    def test_bijection(self):
+class TestOriginalEvents:
+    def test_each_original_event_once(self):
         comp = random_computation(seed=61, n=3, events=15, p=0.3)
+        assert identity_partition(comp).origin_rows == comp.clock_rows
         part = build_uniflow_partition(comp)
-        pairs = set(part.back_map.values())
+        positions = [
+            (comp.events[eid].process, comp.events[eid].index_on_process)
+            for chain in part.chains
+            for eid in chain
+        ]
         expected = {
             (p_, k)
             for p_, chain in enumerate(comp.chains, start=1)
             for k in range(1, len(chain) + 1)
         }
-        assert pairs == expected
+        assert len(positions) == len(expected)
+        assert set(positions) == expected
 
     def test_full_cut_round_trip(self):
         for seed in (62, 63):
