@@ -46,7 +46,6 @@ class TraceError(UsageError):
 class TraceDocument:
     """Parsed trace file: header, event records, optional metadata."""
 
-    version: int
     n: int
     records: tuple[tuple[int, int, tuple[int, ...]], ...]
     name: str | None = None
@@ -139,7 +138,6 @@ def parse_document(data: bytes | str) -> TraceDocument:
         records.append((eid, process, deps))
     if n is None:
         raise TraceError("missing 'n=<int>' header")
-    version = FORMAT_VERSION
     if "trace-format" in meta:
         try:
             version = int(meta["trace-format"])
@@ -154,7 +152,6 @@ def parse_document(data: bytes | str) -> TraceDocument:
         except ValueError:
             raise TraceError(f"bad seed tag {meta['seed']!r}") from None
     return TraceDocument(
-        version=version,
         n=n,
         records=tuple(records),
         name=meta.get("name"),

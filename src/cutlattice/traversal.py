@@ -15,20 +15,22 @@ of the lattice:
 - the triangular projection rows: ``proj[i]`` holds the first ``i``
   components of the componentwise max of the uniflow clocks of the frontier
   events on chains ``i + 1..n_u``, the only components a step that bumps
-  chain ``i + 1`` reads; ``n_u * (n_u - 1) / 2`` integers in all;
+  chain ``i + 1`` reads; ``n_u * (n_u - 1) / 2`` integers in all, since
+  ``proj[0]`` is empty;
 - once a visitor has called ``remap()``, the original-clock table: row ``i``
   is the componentwise max of the *original* vector clocks of the frontier
   events on chains ``i + 1..n_u``, ``n * n_u`` integers.
 
 A step that bumps chain ``i`` changes the cut on chains ``1..i`` only, so
-every row above ``i`` stays valid in both tables.  The projection rows below
-it are refreshed after every step; the original-clock rows are refreshed
-only when ``remap()`` is called, from the highest chain any step has bumped
-since the last call.  In both, a chain whose frontier event precedes a
-higher frontier event adds nothing to its row, which then copies the row
-above; only chains that a top-up left with spare events cost a fold.  The
-stats report both the cut and the integer counts, so tests can assert the
-space claim instead of trusting it.
+every row above ``i`` stays valid in both tables.  The step rewrites the
+projection row it read, and the rows below that are refreshed at one site,
+the top of the next visit; after a rank's seed that site refreshes every
+row.  The original-clock rows are refreshed only when ``remap()`` is called,
+from the highest chain any step has bumped since the last call.  In both, a
+chain whose frontier event precedes a higher frontier event adds nothing to
+its row, which then copies the row above; only chains that a top-up left
+with spare events cost a fold.  The stats report both the cut and the
+integer counts, so tests can assert the space claim instead of trusting it.
 
 A visitor is any callable ``visitor(cut, rank, remap)``.  ``cut`` is a tuple
 over the uniflow chains, and ``remap()`` translates it to the original
@@ -60,13 +62,15 @@ Visitor = Callable[[Cut, int, Callable[[], Cut]], object]
 class TraversalStats:
     """Counters and space accounting for one traversal.
 
-    Only :func:`traverse_rank_range` writes the per-rank counters, once per
-    rank.  ``min_cut_calls`` and ``successor_calls`` are keyed by rank, which
-    is how rank-slice isolation is asserted.  ``component_ops`` counts
-    inner-loop vector-component operations and backs the per-cut cost
-    measurements; :func:`get_successor_optimized` adds to it as well.
-    ``peak_live_cuts`` / ``aux_int_peak`` are the cut vectors and auxiliary
-    integers the walk retains at once.
+    Only :func:`traverse_rank_range` writes the counters, once per rank.
+    ``per_rank``, ``min_cut_calls`` and ``successor_calls`` are keyed by
+    rank, which is how rank-slice isolation is asserted; a rank takes one
+    successor step per visit, one fewer when the visitor stopped the walk
+    there.  ``component_ops`` counts the walk's inner-loop vector-component
+    operations (row folds, candidate tests, top-ups and remap folds) and
+    backs the per-cut cost measurements.  ``peak_live_cuts`` /
+    ``aux_int_peak`` are the cut vectors and auxiliary integers the walk
+    retains at once.
     """
 
     cuts_visited: int = 0
@@ -122,7 +126,8 @@ def get_successor(g: Sequence[int], r: int, part: UniflowPartition) -> Cut | Non
     closure of every retained frontier event.  The first candidate whose rank
     still fits is topped up to rank ``r`` and returned.
 
-    This is the plain reference; the walk uses :func:`_successor_step`.
+    This is the plain reference that the walk in
+    :func:`traverse_rank_range` is checked against.
     """
     rows = part.clock_rows
     lengths = part.chain_lengths
@@ -151,125 +156,6 @@ def get_successor(g: Sequence[int], r: int, part: UniflowPartition) -> Cut | Non
             _fill_to_rank(K, r - rk, lengths)
             return tuple(K)
     return None
-
-
-def compute_projections(g: Sequence[int], part: UniflowPartition) -> list[Clock]:
-    """Accumulated causal projections of a cut's frontier, one row per chain.
-
-    Row ``i`` (index ``i - 1``) combines the clocks of the frontier events on
-    chains ``i..n_u``; only components ``1..i - 1`` of a row are ever
-    consumed.  The bottom row always reproduces the cut itself.  Empty chains
-    contribute nothing (their row aliases the row above).
-
-    This is the from-scratch reference; the walk refreshes its rows
-    incrementally with :func:`_refresh_rows`.
-    """
-    rows = part.clock_rows
-    n_u = part.n_u
-    proj: list[Clock] = [()] * n_u
-    above: Clock = (0,) * n_u
-    for i in range(n_u - 1, -1, -1):
-        k = g[i]
-        if k:
-            vc = rows[i][k - 1]
-            above = tuple(a if a > b else b for a, b in zip(vc, above))
-        proj[i] = above
-    return proj
-
-
-def _successor_step(
-    g: list[int],
-    lengths: Sequence[int],
-    rows: Sequence[Sequence[Clock]],
-    proj: list[Sequence[int]],
-) -> tuple[int, int]:
-    """Advance ``g`` in place to its lexical successor at the same rank.
-
-    ``proj[i]`` must hold exactly the first ``i`` components of the
-    projection row of chain ``i + 1`` for ``g`` (see
-    :func:`compute_projections`).  Candidate chains are tried from the
-    second-lowest upward.  Bumping chain ``i + 1`` makes the new lower part
-    the componentwise max of the bumped event's clock and ``proj[i]``: the
-    causal closure of every retained frontier event.  The bump adds one
-    event, so the candidate's rank fits iff that lower part holds fewer
-    events than ``g[:i]``; the test reads a running prefix sum of ``g`` and
-    never sums a whole vector.  The first candidate that fits is written
-    into ``g`` and topped up bottom-up to the old rank.  Its lower part
-    before the top-up is also the new ``proj[i]``: the bumped event's clock
-    covers the old frontier's on its chain, and rows above ``i`` are
-    unchanged, so it replaces that row in ``proj``.
-
-    Returns ``(bumped, ops)``: ``bumped`` is the 1-based chain that was
-    incremented, so chains ``1..bumped`` changed and rows below ``bumped - 1``
-    of ``proj`` are stale; or 0 when ``g`` is the lexical maximum of its rank
-    (``g`` and ``proj`` are then left as they were).  ``ops`` counts
-    component operations.
-    """
-    ops = 0
-    pre = 0
-    for i in range(1, len(g)):
-        pre += g[i - 1]
-        ki = g[i]
-        if ki < lengths[i]:
-            lower = [a if a > b else b for a, b in zip(proj[i], rows[i][ki])]
-            ops += i
-            low = sum(lower)
-            if low < pre:
-                g[:i] = lower
-                g[i] = ki + 1
-                proj[i] = lower
-                if low + 1 < pre:
-                    ops += _fill_to_rank(g, pre - 1 - low, lengths)
-                return i + 1, ops
-    return 0, ops
-
-
-def get_successor_optimized(
-    g: Sequence[int], r: int, part: UniflowPartition, stats: TraversalStats | None = None
-) -> Cut | None:
-    """Same contract as :func:`get_successor`, via the projection matrix.
-
-    Projections are computed once up front, after which every candidate
-    chain costs one row combination instead of a rescan of all higher
-    chains.  The rows and the step are the walk's own
-    :func:`_refresh_rows` and :func:`_successor_step`; ``stats`` receives
-    their component operations.
-    """
-    rows = part.clock_rows
-    proj: list[Sequence[int]] = [[]] * part.n_u
-    K = list(g)
-    ops = _refresh_rows(proj, K, rows, part.n_u)
-    bumped, step_ops = _successor_step(K, part.chain_lengths, rows, proj)
-    if stats is not None:
-        stats.component_ops += ops + step_ops
-    return tuple(K) if bumped else None
-
-
-def _refresh_rows(
-    proj: list[Sequence[int]], cut: Sequence[int], rows: Sequence[Sequence[Clock]], upto: int
-) -> int:
-    """Recompute projection rows ``0..upto - 1`` against ``cut``.
-
-    Rows from ``upto`` on stay valid after a successor step because the cut
-    did not change there.  ``proj[i]`` keeps its first ``i`` components
-    only, so folding a clock into it costs ``i`` component maxes instead of
-    ``n_u``.  A chain whose count equals component ``i`` of the row above
-    adds nothing: its frontier event precedes a higher frontier event, whose
-    clock covers its own.  Its row is the row above cut down to ``i``, and
-    only the chains that a top-up left with spare events cost a fold.
-    Returns the component operations.
-    """
-    above = proj[upto] if upto < len(proj) else [0] * upto
-    ops = 0
-    for i in range(upto - 1, -1, -1):
-        k = cut[i]
-        if k > above[i]:
-            above = [a if a > b else b for a, b in zip(rows[i][k - 1], above[:i])]
-            ops += i
-        else:
-            above = above[:i]
-        proj[i] = above
-    return ops
 
 
 def remap(g_u: Sequence[int], part: UniflowPartition) -> Cut:
@@ -322,7 +208,8 @@ def traverse_rank_range(
     lengths = part.chain_lengths
     n_u = part.n_u
     n = part.source.n
-    proj: list[Sequence[int]] = [[]] * n_u
+    # The projection rows; as in the table, the last row stands for no chains.
+    proj: list[Sequence[int]] = [[]] * n_u + [[0] * n_u]
     proj_ints = n_u * (n_u - 1) // 2
     zero = (0,) * n
     table: list[Clock] | None = None  # the original-clock table, built on first remap()
@@ -343,23 +230,38 @@ def traverse_rank_range(
         for i in range(stale - 1, -1, -1):
             k = snap[i]
             # proj[i + 1][i]: how far up chain i the higher frontiers reach
-            if k > (proj[i + 1][i] if i + 1 < n_u else 0):
+            if k > proj[i + 1][i]:
                 above = tuple([a if a > b else b for a, b in zip(origin[i][k - 1], above)])
                 remap_ops += n
             table[i] = above
         stale = 0
         return above
 
-    step = _successor_step
-    refresh = _refresh_rows
     cuts = 0
     live = 2 if visitor is None else 3  # cut, candidate lower part, snapshot
     for r in range(r1, r2 + 1):
         g = [0] * n_u
-        rank_ops = _fill_to_rank(g, r, lengths) + refresh(proj, g, rows, n_u)
+        ops = _fill_to_rank(g, r, lengths)
+        top = n_u  # rows 1..top - 1 are stale; a fresh seed stales them all
         stale = n_u
         visits = 0
         while True:
+            # Refresh the stale projection rows; row 0 is empty and never read.
+            # The rows are triangular: proj[i] keeps only the first i
+            # components, the ones a step bumping chain i + 1 reads, so a
+            # fold costs i maxes.  A chain whose count does not exceed
+            # component i of the row above adds nothing and costs no fold:
+            # its frontier event precedes a higher frontier event, whose clock
+            # covers its own.
+            above = proj[top]
+            for i in range(top - 1, 0, -1):
+                k = g[i]
+                if k > above[i]:
+                    above = [a if a > b else b for a, b in zip(rows[i][k - 1], above[:i])]
+                    ops += i
+                else:
+                    above = above[:i]
+                proj[i] = above
             visits += 1
             if visitor is not None:
                 current = snap = tuple(g)
@@ -368,20 +270,42 @@ def traverse_rank_range(
                 if stop:
                     stats.early_stopped = True
                     break
-            bumped, step_ops = step(g, lengths, rows, proj)
-            rank_ops += step_ops
-            if not bumped:
-                break
-            rank_ops += refresh(proj, g, rows, bumped - 1)
-            if bumped > stale:
-                stale = bumped
+            # Step to the lexical successor in place, trying chains from the
+            # second-lowest upward.  Bumping chain i + 1 makes the new lower
+            # part the componentwise max of the bumped event's clock and
+            # proj[i]: the causal closure of every retained frontier event.
+            # The bump adds one event, so the candidate's rank fits iff its
+            # lower part holds fewer events than g[:i], a running prefix sum.
+            pre = 0
+            for i in range(1, n_u):
+                pre += g[i - 1]
+                ki = g[i]
+                if ki < lengths[i]:
+                    lower = [a if a > b else b for a, b in zip(proj[i], rows[i][ki])]
+                    ops += i
+                    low = sum(lower)
+                    if low < pre:
+                        g[:i] = lower
+                        g[i] = ki + 1
+                        # The bumped event's clock covers the old frontier's
+                        # on its chain, so the lower part before the top-up
+                        # is the new proj[i].
+                        proj[i] = lower
+                        if low + 1 < pre:
+                            ops += _fill_to_rank(g, pre - 1 - low, lengths)
+                        break
+            else:
+                break  # g is the lexical maximum of its rank
+            top = i  # chains 1..i + 1 changed, so rows 1..i - 1 are stale
+            if i >= stale:
+                stale = i + 1
         cuts += visits
         stats.per_rank[r] = visits
         stats.min_cut_calls[r] = visits
         steps = visits - 1 if stats.early_stopped else visits
         if steps:
             stats.successor_calls[r] = steps
-        stats.component_ops += rank_ops + remap_ops
+        stats.component_ops += ops + remap_ops
         remap_ops = 0
         stats.peak_live_cuts = live
         stats.aux_int_peak = proj_ints + (n * n_u if table is not None else 0)

@@ -99,7 +99,6 @@ class TestParseTrace:
         doc = parse_document("# name: d100\n# seed: 7\nn=1\n")
         assert doc.name == "d100"
         assert doc.seed == 7
-        assert doc.version == 1
 
     def test_unknown_format_version_rejected(self):
         with pytest.raises(TraceError, match="unsupported trace-format 2"):

@@ -5,19 +5,16 @@ from __future__ import annotations
 
 import gc
 import itertools
+import sys
 import tracemalloc
 
 import pytest
 
-from cutlattice import traversal
 from cutlattice.model import UsageError, cut_from_display, is_consistent, make_computation
 from cutlattice.traceio import GenSpec, generate_random
 from cutlattice.traversal import (
-    TraversalStats,
-    compute_projections,
     get_min_cut,
     get_successor,
-    get_successor_optimized,
     remap,
     traverse_bfs,
     traverse_rank_range,
@@ -35,6 +32,7 @@ from conftest import (
     oracle_rank_sets,
     random_computation,
 )
+from reference import compute_projections
 
 
 def dv(*values):
@@ -151,31 +149,6 @@ class TestComputeProjections:
                 assert all(a >= b for a, b in zip(lower, upper))
 
 
-class TestSuccessorEquivalence:
-    def test_golden_cases(self, three_chain):
-        part = identity_partition(three_chain)
-        for g, r in [(dv(0, 0, 3), 3), (dv(1, 2, 3), 6)]:
-            assert get_successor_optimized(g, r, part) == get_successor(g, r, part)
-
-    def test_none_iff_none(self, three_chain):
-        part = identity_partition(three_chain)
-        assert get_successor_optimized(part.full_cut(), 9, part) is None
-
-    @pytest.mark.parametrize("seed,n,events,p", [
-        (81, 2, 14, 0.3),
-        (82, 3, 16, 0.3),
-        (83, 4, 18, 0.0),
-        (84, 4, 16, 0.7),
-    ])
-    def test_exhaustive_agreement(self, seed, n, events, p):
-        comp = random_computation(seed, n, events, p)
-        part = prepared(comp)
-        for members in downset_event_sets(comp):
-            g = event_set_to_cut(members, part)
-            r = len(members)
-            assert get_successor_optimized(g, r, part) == get_successor(g, r, part)
-
-
 class TestTraverseBfs:
     def test_six_event_lattice(self, six_event):
         part = prepared(six_event)
@@ -229,8 +202,18 @@ class TestTraverseBfs:
         stats = traverse_bfs(part, visitor)
         assert stats.early_stopped
         assert stats.cuts_visited == len(seen) == 5
+        # The counters the benchmark reads.  The walk stops at rank 2's
+        # second visit, so rank 2 takes one successor step fewer than it
+        # has visits.
+        assert stats.per_rank == stats.min_cut_calls == {0: 1, 1: 2, 2: 2}
+        assert stats.successor_calls == {0: 1, 1: 2, 2: 1}
+        assert stats.component_ops == 7
 
     @pytest.mark.parametrize("seed,n,events,p", [
+        (81, 2, 14, 0.3),
+        (82, 3, 16, 0.3),
+        (83, 4, 18, 0.0),
+        (84, 4, 16, 0.7),
         (91, 3, 12, 0.3),
         (92, 4, 16, 0.3),
         (93, 4, 18, 0.3),
@@ -248,32 +231,36 @@ class TestTraverseBfs:
         assert all(original == remap(cut, part) for _, cut, original in seen)
         assert stats.cuts_visited == len(seen)
 
+    def test_walk_matches_plain_successor_loop_on_three_chain(self, three_chain):
+        part = identity_partition(three_chain)
+        seen, _ = collect(part)
+        assert [(r, cut) for r, cut, _ in seen] == plain_walk(part)
+
     @pytest.mark.parametrize("seed,n,events,p", [
         (97, 4, 20, 0.3),
         (98, 6, 20, 0.7),
     ])
-    def test_projection_rows_match_compute_projections(
-        self, monkeypatch, seed, n, events, p
-    ):
-        """Before every successor step, row ``i`` of the walk's projection
-        matrix holds exactly the first ``i`` components, the ones a step
-        reads, of the row built from scratch."""
+    def test_projection_rows_match_compute_projections(self, seed, n, events, p):
+        """At every visit, row ``i`` of the walk's projection rows holds
+        exactly the first ``i`` components of the row built from scratch.
+
+        The successors and remaps alone do not pin the rows: a row that
+        misses the fold of a topped-up chain still gives every right
+        successor, and only makes ``remap()`` fold more.  The visitor reads
+        the rows from the walk's frame, which calls it directly.
+        """
         comp = random_computation(seed, n, events, p)
         part = prepared(comp)
         assert part.n_u >= 3
-        step = traversal._successor_step
         checked = []
 
-        def checking_step(g, lengths, rows, proj):
-            expected = compute_projections(g, part)
-            assert list(map(list, proj)) == [
-                list(row[:i]) for i, row in enumerate(expected)
-            ]
-            checked.append(tuple(g))
-            return step(g, lengths, rows, proj)
+        def visitor(cut, r, remap_fn):
+            proj = sys._getframe(1).f_locals["proj"][: part.n_u]  # drop the no-chains row
+            expected = compute_projections(cut, part)
+            assert list(map(list, proj)) == [list(row[:i]) for i, row in enumerate(expected)]
+            checked.append(cut)
 
-        monkeypatch.setattr(traversal, "_successor_step", checking_step)
-        stats = traverse_bfs(part)
+        stats = traverse_bfs(part, visitor)
         assert len(checked) == stats.cuts_visited
 
     def test_space_accounting(self):
@@ -475,17 +462,8 @@ class TestLexicalChainPerRank:
         comp = random_computation(seed, n, events, p)
         part = prepared(comp)
         by_rank = oracle_rank_sets(comp, part)
-        stats = TraversalStats()
-        empty = (0,) * part.n_u
-        for r in range(comp.event_count + 1):
-            expected = sorted(by_rank.get(r, ()), key=lexkey)
-            walked = []
-            g = get_min_cut(empty, r, part)
-            while g is not None:
-                walked.append(g)
-                g = get_successor_optimized(g, r, part, stats)
-            assert walked == expected
-        # Only the walk has a structural size to report; single steps
-        # sharing one stats object must not accumulate one.
-        assert stats.peak_live_cuts == 0
-        assert stats.aux_int_peak == 0
+        seen, _ = collect(part)
+        walked: dict[int, list] = {}
+        for r, cut, _ in seen:
+            walked.setdefault(r, []).append(cut)
+        assert walked == {r: sorted(cuts, key=lexkey) for r, cuts in by_rank.items()}
