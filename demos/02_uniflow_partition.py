@@ -4,7 +4,9 @@ The example computation has two processes whose messages cross, so its own
 chain partition is not uniflow.  Feeding the events through the online
 partitioner spreads them over three chains where every causal edge points
 upward; cuts enumerated there translate back to the original chains
-one-for-one.
+one-for-one.  Each event is first tried on its process's place in the
+net-outflow order; here each process sends one message and receives one, so
+the tie keeps process id order.
 """
 
 from cutlattice import (

@@ -149,7 +149,8 @@ def fold_clocks(
     The clocks are frozen into tuples only after the fold, in one burst, so
     they do not alternate in memory with the fold's working lists.  The rank
     walk reads them chain after chain; at ``n_u = 145`` (the benchmark's
-    top-e1000 workload) it took 5-6% longer over interleaved clocks.
+    top-e1000 workload before the net-outflow order) it took 5-6% longer
+    over interleaved clocks.
     """
     clocks: dict[int, list[int] | Clock] = {}
     for eid, preds, chain, position in steps:

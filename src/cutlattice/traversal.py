@@ -12,11 +12,12 @@ of the lattice:
   step rewrites in place, and the lower part of the candidate the step is
   testing;
 - with a visitor, the tuple snapshot of the current cut handed to it;
-- the triangular projection rows: ``proj[i]`` holds the first ``i``
-  components of the componentwise max of the uniflow clocks of the frontier
-  events on chains ``i + 1..n_u``, the only components a step that bumps
-  chain ``i + 1`` reads; ``n_u * (n_u - 1) / 2`` integers in all, since
-  ``proj[0]`` is empty;
+- the triangular projection rows: ``proj[i]`` holds ``i`` components, the
+  only ones a step that bumps chain ``i + 1`` reads; ``n_u * (n_u - 1) / 2``
+  integers in all, since ``proj[0]`` is empty.  The row is at most the
+  componentwise max of the uniflow clocks of the frontier events on chains
+  ``i + 1..n_u``: it folds the clocks of events that successor steps put in
+  place, never of frontiers that only a top-up did;
 - once a visitor has called ``remap()``, the original-clock table: row ``i``
   is the componentwise max of the *original* vector clocks of the frontier
   events on chains ``i + 1..n_u``, ``n * n_u`` integers.
@@ -25,12 +26,16 @@ A step that bumps chain ``i`` changes the cut on chains ``1..i`` only, so
 every row above ``i`` stays valid in both tables.  The step rewrites the
 projection row it read, and the rows below that are refreshed at one site,
 the top of the next visit; after a rank's seed that site refreshes every
-row.  The original-clock rows are refreshed only when ``remap()`` is called,
-from the highest chain any step has bumped since the last call.  In both, a
-chain whose frontier event precedes a higher frontier event adds nothing to
-its row, which then copies the row above; only chains that a top-up left
-with spare events cost a fold.  The stats report both the cut and the
-integer counts, so tests can assert the space claim instead of trusting it.
+row.  The refresh never folds: each stale projection row becomes the row
+above, cut short, so no chain costs a fold there.  The original-clock rows
+are refreshed only when ``remap()`` is called, from the highest chain any
+step has bumped since the last call.  A chain whose count does not exceed
+component ``i`` of the projection row above adds nothing to its
+original-clock row, which then copies the row above: its frontier event
+precedes a higher frontier event, whose clock covers its own.  A projection
+row that holds less only makes that test fold more often.  The stats report
+both the cut and the integer counts, so tests can assert the space claim
+instead of trusting it.
 
 A visitor is any callable ``visitor(cut, rank, remap)``.  ``cut`` is a tuple
 over the uniflow chains, and ``remap()`` translates it to the original
@@ -67,8 +72,8 @@ class TraversalStats:
     rank, which is how rank-slice isolation is asserted; a rank takes one
     successor step per visit, one fewer when the visitor stopped the walk
     there.  ``component_ops`` counts the walk's inner-loop vector-component
-    operations (row folds, candidate tests, top-ups and remap folds) and
-    backs the per-cut cost measurements.  ``peak_live_cuts`` /
+    operations (candidate tests, top-ups and remap folds) and backs the
+    per-cut cost measurements.  ``peak_live_cuts`` /
     ``aux_int_peak`` are the cut vectors and auxiliary integers the walk
     retains at once.
     """
@@ -248,20 +253,13 @@ def traverse_rank_range(
         while True:
             # Refresh the stale projection rows; row 0 is empty and never read.
             # The rows are triangular: proj[i] keeps only the first i
-            # components, the ones a step bumping chain i + 1 reads, so a
-            # fold costs i maxes.  A chain whose count does not exceed
-            # component i of the row above adds nothing and costs no fold:
-            # its frontier event precedes a higher frontier event, whose clock
-            # covers its own.
+            # components, the ones a step bumping chain i + 1 reads.  A stale
+            # row is the row above cut to i components, with no fold: the
+            # only frontiers a fold would add are on chains a top-up reached,
+            # and no step reads them (see the step below).
             above = proj[top]
             for i in range(top - 1, 0, -1):
-                k = g[i]
-                if k > above[i]:
-                    above = [a if a > b else b for a, b in zip(rows[i][k - 1], above[:i])]
-                    ops += i
-                else:
-                    above = above[:i]
-                proj[i] = above
+                proj[i] = above[:i]
             visits += 1
             if visitor is not None:
                 current = snap = tuple(g)
@@ -274,6 +272,11 @@ def traverse_rank_range(
             # second-lowest upward.  Bumping chain i + 1 makes the new lower
             # part the componentwise max of the bumped event's clock and
             # proj[i]: the causal closure of every retained frontier event.
+            # proj[i] misses only frontiers that a top-up (or the seed) put
+            # on chains up to the highest one it reached, and no step needs
+            # them: the chains below that one are full and cannot be bumped,
+            # bumping that one adds an event that covers its old frontier, and
+            # bumping a higher chain rewrites them all.
             # The bump adds one event, so the candidate's rank fits iff its
             # lower part holds fewer events than g[:i], a running prefix sum.
             pre = 0

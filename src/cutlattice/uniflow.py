@@ -9,8 +9,15 @@ of low chains can never violate consistency (``uniflow_fill``).
 
 Two constructions are provided: an online partitioner that places each
 arriving event greedily (``find_uniflow_chain`` / ``build_uniflow_partition``)
-and the trivial one-event-per-chain partition.  Neither aims for the minimum
-chain count; that optimization problem is out of scope.
+and the trivial one-event-per-chain partition.
+
+The online partitioner starts each event at its process's position in the
+*net-outflow order* (:func:`net_outflow_order`): processes that send more
+messages than they receive come first, so senders tend to sit on low chains
+and receivers above them, where their messages flow upward without opening
+fresh chains.  It is a measured heuristic that usually lowers the chain
+count.  Neither construction aims for the minimum chain count; that
+optimization problem is out of scope.
 """
 
 from __future__ import annotations
@@ -84,20 +91,45 @@ class UniflowPartition:
         return self.chain_lengths
 
 
+def net_outflow_order(events: Mapping[int, Event]) -> tuple[int, ...]:
+    """The processes that own events, by net outflow, highest first.
+
+    A dependency ``d`` of event ``e`` on another process counts +1 for
+    ``d``'s process and -1 for ``e``'s.  Ties keep the lower process id first.
+    """
+    net: dict[int, int] = {}
+    for ev in events.values():
+        p = ev.process
+        net.setdefault(p, 0)
+        for d in ev.deps:
+            sender = events[d].process
+            if sender != p:
+                net[sender] = net.get(sender, 0) + 1
+                net[p] -= 1
+    return tuple(sorted(net, key=lambda proc: (-net[proc], proc)))
+
+
 @dataclass
 class PartitionerState:
     """Mutable working state of the online partitioner.
 
     Single-owner: feed events sequentially through
-    :func:`find_uniflow_chain`.  Chain ids may be sparse while building;
+    :func:`find_uniflow_chain`.  ``start`` maps each process to its 1-based
+    position in :func:`net_outflow_order` of ``events``, the chain its events
+    are first tried on.  Chain ids may be sparse while building;
     :func:`build_uniflow_partition` compacts them at the end.
     """
 
     events: Mapping[int, Event]
+    start: dict[int, int] = field(init=False)
     chains: dict[int, list[int]] = field(default_factory=dict)
     chain_of: dict[int, int] = field(default_factory=dict)
     last_event_of: dict[int, int] = field(default_factory=dict)
     maxid: int = 0
+
+    def __post_init__(self) -> None:
+        order = net_outflow_order(self.events)
+        self.start = {p: pos for pos, p in enumerate(order, start=1)}
 
 
 def find_uniflow_chain(event: Event, state: PartitionerState) -> int:
@@ -106,11 +138,13 @@ def find_uniflow_chain(event: Event, state: PartitionerState) -> int:
     Events must arrive in an order consistent with causality (all
     dependencies already placed), otherwise the concurrency test against only
     the last chain event would be unsound.  The candidate chain is the max of
-    the event's own process id and its dependencies' uniflow chains; if that
-    chain's last event is concurrent with the new one, a fresh chain is
-    opened above all existing ones.
+    the event's start chain (its process's position in the net-outflow order,
+    ``state.start``) and its dependencies' uniflow chains; if that chain's
+    last event is concurrent with the new one, a fresh chain is opened above
+    all existing ones.  Any start keeps the partition uniflow; the order only
+    aims to open fewer fresh chains, with no guarantee of the fewest.
     """
-    uid = event.process
+    uid = state.start[event.process]
     for d in event.deps:
         placed = state.chain_of.get(d)
         if placed is None:
@@ -143,9 +177,9 @@ def build_uniflow_partition(comp: Computation) -> UniflowPartition:
     """Run the online partitioner over the whole computation.
 
     Events are delivered in ``topo_order``.  Chain ids are compacted to
-    ``1..n_u`` at the end (placement can leave gaps when a process id jumps
-    past existing chains).  Uniflow vector clocks are not filled; chain with
-    :func:`regenerate_vector_clocks`.
+    ``1..n_u`` at the end (placement can leave gaps when a start position
+    jumps past existing chains).  Uniflow vector clocks are not filled; chain
+    with :func:`regenerate_vector_clocks`.
     """
     state = PartitionerState(events=comp.events)
     for eid in comp.topo_order:

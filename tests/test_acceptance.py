@@ -5,10 +5,12 @@ lines as they complete.  Criterion 7 checks the space claim on the whole
 lattice of a generated n=10/|E|=100/p=0.3 trace (seed 6): 50,490,732 cuts,
 with level widths of 379,594 at rank 25 and 1,483,601 at rank 44, the widest.
 The uniflow walk visits every cut while retaining at most three cut vectors
-and O(n_u^2) auxiliary integers, whereas the level BFS exceeds a
+and O(n_u^2) auxiliary integers (n_u = 21: 210 integers of projection rows,
+under the bound n_u^2 + 4 n_u = 525), whereas the level BFS exceeds a
 100,000-stored-cut cap by rank 13.  No wall-clock value decides its verdict;
 it prints the walk's elapsed time and cuts/s, and is the long test of the
-suite (about 5 minutes in one process on a 2-core VM).
+suite (about 2 minutes in one process on a 2-core VM, more when the VM is
+slow).
 ``test_space_contrast_demonstration`` shows the same space claim on a smaller
 trace whose level BFS can also finish.
 """

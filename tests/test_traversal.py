@@ -241,12 +241,14 @@ class TestTraverseBfs:
         (98, 6, 20, 0.7),
     ])
     def test_projection_rows_match_compute_projections(self, seed, n, events, p):
-        """At every visit, row ``i`` of the walk's projection rows holds
-        exactly the first ``i`` components of the row built from scratch.
+        """At every visit, row ``i`` of the walk's projection rows has exactly
+        ``i`` components, each at most that of the row built from scratch.
 
-        The successors and remaps alone do not pin the rows: a row that
-        misses the fold of a topped-up chain still gives every right
-        successor, and only makes ``remap()`` fold more.  The visitor reads
+        The walk's refresh never folds, so a row can hold less than the full
+        projection: it misses the frontiers that only a top-up put in place,
+        which no step reads.  It must never hold more, since the step and
+        ``remap()``'s skip test (``proj[i + 1][i]``) both take every
+        component as covered by a retained frontier event.  The visitor reads
         the rows from the walk's frame, which calls it directly.
         """
         comp = random_computation(seed, n, events, p)
@@ -257,7 +259,9 @@ class TestTraverseBfs:
         def visitor(cut, r, remap_fn):
             proj = sys._getframe(1).f_locals["proj"][: part.n_u]  # drop the no-chains row
             expected = compute_projections(cut, part)
-            assert list(map(list, proj)) == [list(row[:i]) for i, row in enumerate(expected)]
+            assert [len(row) for row in proj] == list(range(part.n_u))
+            for row, full in zip(proj, expected):
+                assert all(a <= b for a, b in zip(row, full)), (cut, row, full)
             checked.append(cut)
 
         stats = traverse_bfs(part, visitor)
@@ -306,13 +310,13 @@ class TestTraverseBfs:
         remapping walk of rank 14 (37,185 cuts) peaks no higher than one of
         rank 3 (207 cuts), up to a fixed slack.
 
-        Measured on Python 3.11 after a warm-up walk: 6,576 B at rank 3 and
-        7,584 B at rank 14.  The 1,008 B difference is original-clock table
-        rows: at rank 3 at most 3 of them hold their own 10-int tuple and the
-        rest alias the row above, at rank 14 up to 10 do.  Both tables
-        together hold at most 208 ints.  The slack allows about twice the
-        difference; retaining one small tuple per cut would exceed it by
-        three orders of magnitude.
+        Measured on Python 3.11 after a warm-up walk, in a plain script:
+        4,632 B at rank 3 and 5,488 B at rank 14 (n_u = 10).  The 856 B
+        difference is original-clock table rows: at rank 3 at most 3 of them
+        hold their own 10-int tuple and the rest alias the row above, at
+        rank 14 up to 10 do.  Both tables together hold 145 ints.  The slack
+        allows more than twice the difference; retaining one small tuple per
+        cut would exceed it by three orders of magnitude.
         """
         slack = 2048
         comp = generate_random(GenSpec(10, 30, 0.3, 1))
@@ -335,6 +339,22 @@ class TestTraverseBfs:
         small = traced_peak(3, 207)
         large = traced_peak(14, 37_185)
         assert large <= small + slack, (small, large)
+
+
+def test_slice_d100_work_counts():
+    """Exact work of the benchmark's ``slice-d100`` window, rank 11 of
+    ``GenSpec(10, 100, 0.3, 1)``: its chain count and the walk's own
+    component-op count, with no timing.
+
+    Before the partitioner started events in net-outflow order and the row
+    refresh stopped folding, this window had n_u = 25 and took 290,463
+    component ops.  A change that loses either gain turns this test red.
+    """
+    part = prepared(generate_random(GenSpec(10, 100, 0.3, 1)))
+    stats = traverse_rank_range(part, 11, 11)
+    assert stats.cuts_visited == 55_365
+    assert part.n_u == 16
+    assert stats.component_ops == 169_467
 
 
 def sparse_ids(comp):

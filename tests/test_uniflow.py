@@ -1,5 +1,6 @@
-"""Uniflow partitions: the online partitioner, clock regeneration, and the
-fill lemma, cross-checked against explicit transitive closures."""
+"""Uniflow partitions: the online partitioner and its net-outflow order,
+clock regeneration, and the fill lemma, cross-checked against explicit
+transitive closures."""
 
 from __future__ import annotations
 
@@ -8,12 +9,20 @@ import random
 
 import pytest
 
-from cutlattice.model import UsageError, cut_from_display, is_consistent, make_computation
+from cutlattice.model import (
+    Computation,
+    UsageError,
+    cut_from_display,
+    is_consistent,
+    make_computation,
+)
+from cutlattice.traceio import GenSpec, generate_random
 from cutlattice.traversal import remap
 from cutlattice.uniflow import (
     PartitionerState,
     build_uniflow_partition,
     find_uniflow_chain,
+    net_outflow_order,
     partition_from_chains,
     regenerate_vector_clocks,
     trivial_partition,
@@ -87,6 +96,59 @@ class TestFindUniflowChain:
             part = build_uniflow_partition(shuffled)
             assert verify_uniflow(part)
             assert eq1_holds_by_closure(part)
+
+
+def receive_only_low() -> Computation:
+    """Process 2 sends three messages to process 1, which only receives."""
+    return make_computation(2, [
+        (1, 2, []), (2, 1, [1]),
+        (3, 2, []), (4, 1, [3]),
+        (5, 2, []), (6, 1, [5]),
+    ])
+
+
+class TestNetOutflowOrder:
+    def test_sender_placed_below_receiver(self):
+        comp = receive_only_low()
+        assert net_outflow_order(comp.events) == (2, 1)
+        part = build_uniflow_partition(comp)
+        assert part.chains == ((1, 3, 5), (2, 4, 6))
+        assert verify_uniflow(part)
+
+    def test_fewer_chains_than_identity_labelling(self):
+        # Started at the process id, the first receive joins the sender's
+        # chain above its send; each later send is concurrent with the
+        # receive on top of the chain it starts at, so it opens a fresh one.
+        comp = receive_only_low()
+        state = PartitionerState(events=comp.events)
+        state.start = {1: 1, 2: 2}
+        for eid in comp.topo_order:
+            find_uniflow_chain(comp.events[eid], state)
+        assert sorted(state.chains.values()) == [[1, 2], [3, 4], [5, 6]]
+        assert build_uniflow_partition(comp).n_u == 2
+
+    def test_ties_fall_back_to_process_id(self, crossing):
+        # one message each way: both processes have net outflow 0
+        assert net_outflow_order(crossing.events) == (1, 2)
+        # processes 3 and 2 each send one message to process 1
+        comp = make_computation(3, [(1, 3, []), (2, 2, []), (3, 1, [1, 2])])
+        assert net_outflow_order(comp.events) == (2, 3, 1)
+
+    def test_idle_process_has_no_position(self):
+        comp = make_computation(3, [(1, 3, []), (2, 1, [1])])
+        assert net_outflow_order(comp.events) == (3, 1)
+        assert PartitionerState(events=comp.events).start == {3: 1, 1: 2}
+
+    @pytest.mark.parametrize("spec,n_u", [
+        (GenSpec(10, 30, 0.3, 1), 10),
+        (GenSpec(10, 100, 0.3, 1), 16),
+        (GenSpec(10, 100, 0.3, 6), 21),  # the desk trace of criterion 7
+    ])
+    def test_generated_chain_counts(self, spec, n_u):
+        # With each event started at its process id these were 13, 25 and 28.
+        part = build_uniflow_partition(generate_random(spec))
+        assert part.n_u == n_u
+        assert verify_uniflow(part)
 
 
 class TestBuildUniflowPartition:
