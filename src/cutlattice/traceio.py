@@ -159,23 +159,13 @@ def parse_document(data: bytes | str) -> TraceDocument:
     )
 
 
-def parse_trace(data: bytes | str) -> Computation:
-    """Parse and validate a trace file into a ready :class:`Computation`.
-
-    Vector clocks are computed; all format-level rejects carry positions via
-    :class:`TraceError`.
-    """
-    doc = parse_document(data)
-    return make_computation(doc.n, doc.records)
-
-
 def serialize_trace(comp: Computation, name: str | None = None, seed: int | None = None) -> str:
     """Render a computation in the trace format, byte-stable for fixed input.
 
     Events are written in topological order with their full dependency lists
     (including the implicit same-process predecessor) sorted ascending, so
-    ``parse_trace(serialize_trace(c))`` is structurally equal to ``c`` and
-    re-serializing reproduces the same text.
+    the computation made from ``parse_document(serialize_trace(c))`` is
+    structurally equal to ``c`` and re-serializing reproduces the same text.
     """
     lines = [f"# trace-format: {FORMAT_VERSION}"]
     if name is not None:

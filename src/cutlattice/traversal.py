@@ -10,14 +10,17 @@ of the lattice:
 
 - the current cut, one mutable list of ``n_u`` counts that each successor
   step rewrites in place, and the lower part of the candidate the step is
-  testing;
+  testing, with the slice of the bumped event's clock it is built from;
 - with a visitor, the tuple snapshot of the current cut handed to it;
-- the triangular projection rows: ``proj[i]`` holds ``i`` components, the
-  only ones a step that bumps chain ``i + 1`` reads; ``n_u * (n_u - 1) / 2``
-  integers in all, since ``proj[0]`` is empty.  The row is at most the
+- the projection rows: a step that bumps chain ``i + 1`` reads only the
+  first ``i`` components of ``proj[i]``, and those are at most the
   componentwise max of the uniflow clocks of the frontier events on chains
-  ``i + 1..n_u``: it folds the clocks of events that successor steps put in
-  place, never of frontiers that only a top-up did;
+  ``i + 1..n_u``: the row folds the clocks of events that successor steps put
+  in place, never of frontiers that only a top-up did.  A row a step wrote
+  holds exactly ``i`` components; a stale row is the row above itself, one
+  shared object, and is cut short where it is read.  So the rows hold at
+  most ``n_u * (n_u - 1) / 2`` integers of their own, since ``proj[0]`` is
+  never read, and fewer when rows alias;
 - once a visitor has called ``remap()``, the original-clock table: row ``i``
   is the componentwise max of the *original* vector clocks of the frontier
   events on chains ``i + 1..n_u``, ``n * n_u`` integers.
@@ -26,12 +29,14 @@ A step that bumps chain ``i`` changes the cut on chains ``1..i`` only, so
 every row above ``i`` stays valid in both tables.  The step rewrites the
 projection row it read, and the rows below that are refreshed at one site,
 the top of the next visit; after a rank's seed that site refreshes every
-row.  The refresh never folds: each stale projection row becomes the row
-above, cut short, so no chain costs a fold there.  The original-clock rows
-are refreshed only when ``remap()`` is called, from the highest chain any
-step has bumped since the last call.  A chain whose count does not exceed
-component ``i`` of the projection row above adds nothing to its
-original-clock row, which then copies the row above: its frontier event
+row.  The refresh never folds and never copies: one slice assignment points
+every stale projection row at the row above, so neither a chain nor a
+component costs anything there.  Aliasing is sound because no row object is
+mutated after it is stored; a step replaces its row with a new list.  The
+original-clock rows are refreshed only when ``remap()`` is called, from the
+highest chain any step has bumped since the last call.  A chain whose count
+does not exceed component ``i`` of the projection row above adds nothing to
+its original-clock row, which then copies the row above: its frontier event
 precedes a higher frontier event, whose clock covers its own.  A projection
 row that holds less only makes that test fold more often.  The stats report
 both the cut and the integer counts, so tests can assert the space claim
@@ -75,7 +80,10 @@ class TraversalStats:
     operations (candidate tests, top-ups and remap folds) and backs the
     per-cut cost measurements.  ``peak_live_cuts`` /
     ``aux_int_peak`` are the cut vectors and auxiliary integers the walk
-    retains at once.
+    retains at once.  ``aux_int_peak`` is the size of the triangular
+    projection rows, ``n_u * (n_u - 1) / 2``, plus ``n * n_u`` once the
+    original-clock table exists: an upper bound on the integers the rows
+    hold, which aliased rows can only lower.
     """
 
     cuts_visited: int = 0
@@ -251,15 +259,14 @@ def traverse_rank_range(
         stale = n_u
         visits = 0
         while True:
-            # Refresh the stale projection rows; row 0 is empty and never read.
-            # The rows are triangular: proj[i] keeps only the first i
-            # components, the ones a step bumping chain i + 1 reads.  A stale
-            # row is the row above cut to i components, with no fold: the
-            # only frontiers a fold would add are on chains a top-up reached,
-            # and no step reads them (see the step below).
-            above = proj[top]
-            for i in range(top - 1, 0, -1):
-                proj[i] = above[:i]
+            # Refresh the stale projection rows; row 0 is never read.  A
+            # stale row is the row above, with no fold: the only frontiers a
+            # fold would add are on chains a top-up reached, and no step
+            # reads them (see the step below).  The rows alias that one row
+            # object, which is safe because no row is mutated once stored;
+            # a step reads only the first i components of proj[i].
+            if top > 1:
+                proj[1:top] = [proj[top]] * (top - 1)
             visits += 1
             if visitor is not None:
                 current = snap = tuple(g)
@@ -284,7 +291,9 @@ def traverse_rank_range(
                 pre += g[i - 1]
                 ki = g[i]
                 if ki < lengths[i]:
-                    lower = [a if a > b else b for a, b in zip(proj[i], rows[i][ki])]
+                    # proj[i] may alias a longer row; zip stops at the i
+                    # components of the clock's lower part.
+                    lower = [a if a > b else b for a, b in zip(proj[i], rows[i][ki][:i])]
                     ops += i
                     low = sum(lower)
                     if low < pre:

@@ -5,26 +5,23 @@ whenever chain(x) < chain(y), y never happened-before x.  Equivalently,
 every causal dependency of an event sits on the same chain below it or on a
 strictly lower chain.  Partitions with this shape admit the constant-space
 rank traversal in :mod:`cutlattice.traversal`, because topping up any prefix
-of low chains can never violate consistency (``uniflow_fill``).
+of low chains can never violate consistency.
 
-Two constructions are provided: an online partitioner that places each
-arriving event greedily (``find_uniflow_chain`` / ``build_uniflow_partition``)
-and the trivial one-event-per-chain partition.
-
-The online partitioner starts each event at its process's position in the
-*net-outflow order* (:func:`net_outflow_order`): processes that send more
-messages than they receive come first, so senders tend to sit on low chains
-and receivers above them, where their messages flow upward without opening
-fresh chains.  It is a measured heuristic that usually lowers the chain
-count.  Neither construction aims for the minimum chain count; that
-optimization problem is out of scope.
+The partition is built online, one arriving event at a time
+(``find_uniflow_chain`` / ``build_uniflow_partition``).  The partitioner
+starts each event at its process's position in the *net-outflow order*
+(:func:`net_outflow_order`): processes that send more messages than they
+receive come first, so senders tend to sit on low chains and receivers above
+them, where their messages flow upward without opening fresh chains.  It is
+a measured heuristic that usually lowers the chain count.  It does not aim
+for the minimum chain count; that optimization problem is out of scope.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .model import (
     Clock,
@@ -35,7 +32,6 @@ from .model import (
     concurrent,
     fold_clocks,
     happened_before,
-    is_consistent,
 )
 
 
@@ -191,27 +187,6 @@ def build_uniflow_partition(comp: Computation) -> UniflowPartition:
     return UniflowPartition(source=comp, chains=chains, chain_of=chain_of)
 
 
-def partition_from_chains(
-    comp: Computation, chains: Sequence[Sequence[int]]
-) -> UniflowPartition:
-    """Wrap explicitly given chains as a partition (clocks not yet filled).
-
-    The chains must partition the event set exactly; no uniflow property is
-    assumed or checked here (that is :func:`verify_uniflow`'s job).
-    """
-    flat = [eid for chain in chains for eid in chain]
-    if len(flat) != comp.event_count or set(flat) != set(comp.events):
-        raise UsageError("chains do not partition the computation's events")
-    chain_of = {
-        eid: ci for ci, chain in enumerate(chains, start=1) for eid in chain
-    }
-    return UniflowPartition(
-        source=comp,
-        chains=tuple(tuple(chain) for chain in chains),
-        chain_of=chain_of,
-    )
-
-
 def regenerate_vector_clocks(part: UniflowPartition) -> UniflowPartition:
     """Return the partition with vector clocks recomputed over its chains.
 
@@ -261,36 +236,3 @@ def verify_uniflow(part: UniflowPartition) -> bool:
             if ci < cj and happened_before(vcj, vci):
                 return False
     return True
-
-
-def trivial_partition(comp: Computation) -> UniflowPartition:
-    """Every event on its own chain, ordered by a causality-respecting sort.
-
-    Events are sorted lexically by their original clocks (highest chain most
-    significant); any lexical order extends causal dominance, so the result
-    is always uniflow.  Clocks over the new chains are filled in.
-    """
-    order = sorted(
-        comp.topo_order,
-        key=lambda eid: (tuple(reversed(comp.events[eid].vc)), comp.events[eid].process),
-    )
-    chains = tuple((eid,) for eid in order)
-    chain_of = {eid: i for i, eid in enumerate(order, start=1)}
-    part = UniflowPartition(source=comp, chains=chains, chain_of=chain_of)
-    return regenerate_vector_clocks(part)
-
-
-def uniflow_fill(g: Sequence[int], k: int, part: UniflowPartition) -> Cut:
-    """Top up the ``k`` lowest chains of a consistent cut.
-
-    Returns the cut that keeps ``g``'s entries above chain ``k`` and takes
-    every event from chains ``1..k``.  On a uniflow partition this is always
-    consistent: the retained upper entries have all their dependencies on
-    lower chains, which are now complete.  ``k = 0`` is a no-op.
-    """
-    if not is_consistent(g, part):
-        raise UsageError(f"cut {tuple(g)} is not consistent in this partition")
-    if not 0 <= k <= part.n_u:
-        raise UsageError(f"chain index {k} outside 0..{part.n_u}")
-    lengths = part.chain_lengths
-    return tuple(lengths[i] if i < k else g[i] for i in range(part.n_u))

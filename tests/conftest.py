@@ -12,11 +12,9 @@ import pytest
 
 from cutlattice.model import Computation, make_computation
 from cutlattice.traceio import GenSpec, generate_random
-from cutlattice.uniflow import (
-    UniflowPartition,
-    partition_from_chains,
-    regenerate_vector_clocks,
-)
+from cutlattice.uniflow import UniflowPartition, regenerate_vector_clocks
+
+from reference import partition_from_chains
 
 
 @pytest.fixture

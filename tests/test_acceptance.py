@@ -43,12 +43,10 @@ from cutlattice.uniflow import (
     UniflowPartition,
     build_uniflow_partition,
     regenerate_vector_clocks,
-    trivial_partition,
-    uniflow_fill,
 )
 
 from conftest import closure_predecessors, identity_partition
-from reference import compute_projections
+from reference import compute_projections, trivial_partition, uniflow_fill
 
 
 def dv(*values):

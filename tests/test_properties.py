@@ -12,6 +12,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cutlattice.baselines import traditional_bfs
 from cutlattice.model import Computation, make_computation
 from cutlattice.traversal import traverse_bfs
 from cutlattice.uniflow import (
@@ -21,6 +22,7 @@ from cutlattice.uniflow import (
 )
 
 from conftest import oracle_rank_sets
+from reference import trivial_partition
 
 MAX_EVENTS = 14  # keeps the downset oracle cheap: at most 2**14 event sets
 
@@ -38,15 +40,39 @@ def computations(draw) -> Computation:
     return make_computation(n, records)
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(computations())
-def test_online_partition_walk_matches_oracle(comp):
-    """The online partition is uniflow, and the walk's remapped cuts are,
-    rank by rank, exactly the consistent cuts of the source computation."""
-    part = regenerate_vector_clocks(build_uniflow_partition(comp))
+def check_walk(part, comp):
+    """The partition is uniflow, the walk's remapped cuts are, rank by rank,
+    exactly the consistent cuts of the source computation, and a count-only
+    walk counts as many per rank."""
     assert verify_uniflow(part)
     walked: dict[int, set] = {}
     stats = traverse_bfs(part, lambda cut, r, remap_fn: walked.setdefault(r, set()).add(remap_fn()))
     expected = oracle_rank_sets(comp)
     assert walked == expected
-    assert stats.cuts_visited == sum(len(cuts) for cuts in expected.values())
+    counts = {r: len(cuts) for r, cuts in expected.items()}
+    assert stats.per_rank == counts
+    assert traverse_bfs(part).per_rank == counts
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(computations())
+def test_online_partition_walk_matches_oracle(comp):
+    check_walk(regenerate_vector_clocks(build_uniflow_partition(comp)), comp)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(computations())
+def test_trivial_partition_walk_matches_oracle(comp):
+    """One event per chain: n_u is the event count, so a seed or a bump of a
+    high chain leaves the longest runs of stale rows aliasing one row."""
+    part = trivial_partition(comp)
+    assert part.n_u == comp.event_count
+    check_walk(part, comp)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(computations())
+def test_level_bfs_matches_oracle(comp):
+    level: dict[int, set] = {}
+    traditional_bfs(comp, lambda cut, r, remap_fn: level.setdefault(r, set()).add(cut))
+    assert level == oracle_rank_sets(comp)

