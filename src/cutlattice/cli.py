@@ -209,7 +209,7 @@ class RunRecord:
     cuts: int | None = None
     peak_stored_cuts: int | None = None
     aux_int_peak: int | None = None
-    n_u: int | None = None
+    partition: UniflowPartition | None = None  # the partition the uniflow walk used
     partition_s: float = 0.0
 
 
@@ -227,7 +227,7 @@ def _run_uniflow(
         None if visitor is None else lambda cut, r, remap_fn: visitor(remap_fn(), r),
     )
     return RunRecord(
-        stats.cuts_visited, stats.peak_live_cuts, stats.aux_int_peak, part.n_u, partition_s
+        stats.cuts_visited, stats.peak_live_cuts, stats.aux_int_peak, part, partition_s
     )
 
 
@@ -324,7 +324,7 @@ def _run(
         trace=name,
         n=comp.n,
         events=comp.event_count,
-        n_u=record.n_u,
+        n_u=None if record.partition is None else record.partition.n_u,
         ranks=ranks_text,
         cuts=record.cuts,
         first_match_rank=first_rank,
@@ -408,18 +408,22 @@ def cmd_verify(args) -> int:
     max_rank = comp.event_count if args.max_rank is None else args.max_rank
     if not 0 <= max_rank <= comp.event_count:
         raise UsageError(f"max rank {max_rank} outside 0..{comp.event_count}")
-    if not verify_uniflow(build_uniflow_partition(comp)):
-        print(f"trace={name}: partition failed the uniflow check")
-        return 1
     names = sorted(
         a for a in ENUMERATORS
         if a != "brute" or comp.event_count <= BRUTE_FORCE_MAX_EVENTS
     )
     results: dict[str, dict[int, set]] = {}
+    records: dict[str, RunRecord] = {}
     for a in names:
         sets: dict[int, set] = {}
-        ENUMERATORS[a](comp, (0, max_rank), lambda cut, r: sets.setdefault(r, set()).add(cut), None)
+        records[a] = ENUMERATORS[a](
+            comp, (0, max_rank), lambda cut, r: sets.setdefault(r, set()).add(cut), None
+        )
         results[a] = sets
+    # The uniflow check reads the partition the walk used, so it is built once.
+    if not verify_uniflow(records["uniflow"].partition):
+        print(f"trace={name}: partition failed the uniflow check")
+        return 1
     print(f"trace={name} enumerators={','.join(names)} max_rank={max_rank}")
     for r in range(0, max_rank + 1):
         per = {a: results[a].get(r, set()) for a in names}

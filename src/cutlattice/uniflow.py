@@ -29,7 +29,6 @@ from .model import (
     Cut,
     Event,
     UsageError,
-    concurrent,
     fold_clocks,
     happened_before,
 )
@@ -139,6 +138,13 @@ def find_uniflow_chain(event: Event, state: PartitionerState) -> int:
     last event is concurrent with the new one, a fresh chain is opened above
     all existing ones.  Any start keeps the partition uniflow; the order only
     aims to open fewer fresh chains, with no guarantee of the fewest.
+
+    The concurrency test is O(1).  Causal delivery means the new event cannot
+    precede ``last``, an earlier arrival, so the two are concurrent exactly
+    when ``last`` does not precede the event.  By the Fidge-Mattern property
+    of vector clocks, ``last`` precedes a distinct event iff the event's
+    clock counts ``last`` on ``last``'s own process:
+    ``last.vc[q] <= event.vc[q]`` with ``q = last.process - 1``.
     """
     uid = state.start[event.process]
     for d in event.deps:
@@ -152,7 +158,8 @@ def find_uniflow_chain(event: Event, state: PartitionerState) -> int:
             uid = placed
     if uid in state.chains:
         last = state.events[state.last_event_of[uid]]
-        if concurrent(event.vc, last.vc):
+        q = last.process - 1
+        if last.vc[q] > event.vc[q]:
             state.maxid += 1
             cid = state.maxid
             state.chains[cid] = [event.id]

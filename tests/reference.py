@@ -7,6 +7,10 @@ incrementally: a row a step wrote holds only the components the next step
 reads, and a stale row aliases the row above, so the walk's rows are checked
 against these only up to the prefix the walk reads.
 
+``fold_clocks_per_component`` is the plain vector-clock fold, one compare
+per component of every predecessor, that
+:func:`cutlattice.model.fold_clocks` must match exactly.
+
 The other helpers build inputs that the online partitioner never makes
 (explicit chains, the one-event-per-chain partition), state the fill lemma
 the walk's top-up relies on, and parse a trace straight into a computation.
@@ -14,7 +18,7 @@ the walk's top-up relies on, and parse a trace straight into a computation.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from cutlattice.model import Clock, Computation, Cut, UsageError, is_consistent, make_computation
 from cutlattice.traceio import parse_document
@@ -40,6 +44,28 @@ def compute_projections(g: Sequence[int], part: UniflowPartition) -> list[Clock]
             above = tuple(a if a > b else b for a, b in zip(vc, above))
         proj[i] = above
     return proj
+
+
+def fold_clocks_per_component(
+    steps: Iterable[tuple[int, Iterable[int], int, int]], width: int
+) -> dict[int, Clock]:
+    """Vector clocks over ``(id, preds, chain, position)`` steps, the slow way.
+
+    Every event starts from zeros and takes the max of each component of
+    each predecessor in turn; component ``chain`` is then set to
+    ``position``.  Same contract as :func:`cutlattice.model.fold_clocks`.
+    """
+    clocks: dict[int, list[int]] = {}
+    for eid, preds, chain, position in steps:
+        acc = [0] * width
+        for d in preds:
+            dvc = clocks[d]
+            for i in range(width):
+                if dvc[i] > acc[i]:
+                    acc[i] = dvc[i]
+        acc[chain] = position
+        clocks[eid] = acc
+    return {eid: tuple(acc) for eid, acc in clocks.items()}
 
 
 def partition_from_chains(

@@ -17,6 +17,7 @@ from cutlattice.cli import (
 )
 from cutlattice.model import UsageError
 from cutlattice.traceio import GenSpec, generate_random, serialize_trace
+from cutlattice.uniflow import build_uniflow_partition
 
 SIX_EVENT = "n=2\n1 1\n2 1\n3 1\n4 2\n5 2 2\n6 2\n"
 CROSSING = "n=2\n1 1\n2 2\n3 2 1\n4 1 2\n"
@@ -210,6 +211,17 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "MISMATCH at rank 2" in out
         assert "rank 1: " in out  # earlier ranks compared clean
+
+    def test_partition_built_once(self, six_event_path, capsys, monkeypatch):
+        calls = []
+
+        def counting(comp):
+            calls.append(comp)
+            return build_uniflow_partition(comp)
+
+        monkeypatch.setattr(cli, "build_uniflow_partition", counting)
+        assert main(["verify", six_event_path]) == 0
+        assert len(calls) == 1
 
     def test_brute_only_within_its_event_limit(self, t28_path, capsys):
         assert main(["verify", t28_path]) == 0

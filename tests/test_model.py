@@ -12,17 +12,20 @@ from cutlattice.model import (
     UsageError,
     concurrent,
     cut_from_display,
+    fold_clocks,
     format_cut,
     happened_before,
     is_consistent,
     make_computation,
 )
+from cutlattice.uniflow import build_uniflow_partition, regenerate_vector_clocks
 
 from conftest import (
     closure_predecessors,
     oracle_vector_clock,
     random_computation,
 )
+from reference import fold_clocks_per_component
 
 
 def dv(*values):
@@ -89,6 +92,34 @@ class TestComputeVectorClocks:
         preds = closure_predecessors(comp)
         for eid in comp.topo_order:
             assert comp.events[eid].vc == oracle_vector_clock(comp, eid, preds)
+
+    @pytest.mark.parametrize("seed,events", [(1, 1000), (6, 100)], ids=["top-e1000", "desk"])
+    def test_fold_matches_per_component_reference(self, seed, events):
+        """The copy-then-merge fold gives exactly the slow fold's tuples, for
+        the original clocks and for the uniflow clocks."""
+        comp = random_computation(seed, n=10, events=events, p=0.3)
+        part = regenerate_vector_clocks(build_uniflow_partition(comp))
+        evs = comp.events
+        original = [
+            (eid, evs[eid].deps, evs[eid].process - 1, evs[eid].index_on_process)
+            for eid in comp.topo_order
+        ]
+        uniflow = []
+        for ci, chain in enumerate(part.chains):
+            for k, eid in enumerate(chain):
+                preds = evs[eid].deps | {chain[k - 1]} if k else evs[eid].deps
+                uniflow.append((eid, preds, ci, k + 1))
+        arrival = {eid: i for i, eid in enumerate(comp.topo_order)}
+        uniflow.sort(key=lambda step: arrival[step[0]])
+        for steps, width, shipped in (
+            (original, comp.n, {eid: evs[eid].vc for eid in comp.topo_order}),
+            (uniflow, part.n_u, part.uvc),
+        ):
+            expected = fold_clocks_per_component(steps, width)
+            folded = fold_clocks(steps, width)
+            assert folded == expected
+            assert shipped == expected
+            assert all(type(vc) is tuple for vc in folded.values())
 
 
 class TestMakeComputationValidation:

@@ -21,7 +21,7 @@ from cutlattice.uniflow import (
     verify_uniflow,
 )
 
-from conftest import oracle_rank_sets
+from conftest import closure_predecessors, oracle_rank_sets
 from reference import trivial_partition
 
 MAX_EVENTS = 14  # keeps the downset oracle cheap: at most 2**14 event sets
@@ -76,3 +76,30 @@ def test_level_bfs_matches_oracle(comp):
     level: dict[int, set] = {}
     traditional_bfs(comp, lambda cut, r, remap_fn: level.setdefault(r, set()).add(cut))
     assert level == oracle_rank_sets(comp)
+
+
+def chain_counts(members, chain_of, width) -> list[int]:
+    """How many of ``members`` sit on each chain; ``chain_of`` gives an
+    event's 1-based chain."""
+    counts = [0] * width
+    for m in members:
+        counts[chain_of(m) - 1] += 1
+    return counts
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(computations())
+def test_clocks_count_the_causal_past(comp):
+    """Every clock component counts the event's causal past, the event
+    included, on that chain: for the original processes and for both
+    partitions' uniflow chains.  The past is a transitive closure over
+    ``deps``, so the check shares no code with the clock fold."""
+    past = closure_predecessors(comp)
+    events = comp.events
+    for eid in comp.topo_order:
+        members = past[eid] | {eid}
+        assert list(events[eid].vc) == chain_counts(members, lambda m: events[m].process, comp.n)
+    for part in (regenerate_vector_clocks(build_uniflow_partition(comp)), trivial_partition(comp)):
+        for eid in comp.topo_order:
+            members = past[eid] | {eid}
+            assert list(part.uvc[eid]) == chain_counts(members, part.chain_of.__getitem__, part.n_u)
