@@ -370,7 +370,13 @@ def cmd_partition(args) -> int:
     return 0
 
 
+def _check_max_stored(max_stored: int | None) -> None:
+    if max_stored is not None and max_stored < 0:
+        raise UsageError(f"--max-stored must be at least 0, got {max_stored}")
+
+
 def cmd_traverse(args) -> int:
+    _check_max_stored(args.max_stored)
     name, comp = _load_trace(args.trace)
     window = parse_rank_spec(args.ranks, comp.event_count)
     predicate = parse_predicate(args.predicate) if args.predicate else None
@@ -446,9 +452,16 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
+    if not algos:
+        raise UsageError(f"--algos names no algorithm: {args.algos!r}")
     for algo in algos:
         if algo not in ENUMERATORS:
             raise UsageError(f"unknown algorithm {algo!r}")
+    if not args.ranks:
+        raise UsageError("--ranks names no rank window")
+    if args.reps < 1:
+        raise UsageError(f"--reps must be at least 1, got {args.reps}")
+    _check_max_stored(args.max_stored)
     reports: list[RunReport] = []
     for path in args.traces:
         name, comp = _load_trace(path)

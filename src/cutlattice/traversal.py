@@ -42,6 +42,18 @@ row that holds less only makes that test fold more often.  The stats report
 both the cut and the integer counts, so tests can assert the space claim
 instead of trusting it.
 
+A step skips only chains that are full, so it takes exactly the plain
+successor's steps.  A top-up, and a rank's seed, fills chains from the
+bottom and leaves every chain below the highest one it reached full.  A full
+chain cannot be bumped, so the next step's candidate scan starts at that
+highest chain, or at chain 2 if it is lower; after a step with no top-up it
+starts at chain 2.  The top-up itself starts at the lowest chain of the new
+lower part that has room, since the full chains below it would take
+nothing; nearly always that is chain 1.  The component-op counter still
+charges a top-up for every chain from chain 1 to the highest one it
+reached, as the plain top-up visits them, so the counts match the
+reference.
+
 A visitor is any callable ``visitor(cut, rank, remap)``.  ``cut`` is a tuple
 over the uniflow chains, and ``remap()`` translates it to the original
 process chains.  During the visit ``remap()`` returns row 0 of the
@@ -60,6 +72,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import compress, count
+from operator import lt
 from typing import Callable, Sequence
 
 from .model import Clock, Cut, UsageError, is_consistent
@@ -78,12 +92,14 @@ class TraversalStats:
     successor step per visit, one fewer when the visitor stopped the walk
     there.  ``component_ops`` counts the walk's inner-loop vector-component
     operations (candidate tests, top-ups and remap folds) and backs the
-    per-cut cost measurements.  ``peak_live_cuts`` /
-    ``aux_int_peak`` are the cut vectors and auxiliary integers the walk
-    retains at once.  ``aux_int_peak`` is the size of the triangular
-    projection rows, ``n_u * (n_u - 1) / 2``, plus ``n * n_u`` once the
-    original-clock table exists: an upper bound on the integers the rows
-    hold, which aliased rows can only lower.
+    per-cut cost measurements.  A top-up is charged one op per chain up to
+    the highest one it fills, the full chains below its start included, so
+    the count does not depend on where the step starts its loops.
+    ``peak_live_cuts`` / ``aux_int_peak`` are the cut vectors and auxiliary
+    integers the walk retains at once.  ``aux_int_peak`` is the size of the
+    triangular projection rows, ``n_u * (n_u - 1) / 2``, plus ``n * n_u``
+    once the original-clock table exists: an upper bound on the integers
+    the rows hold, which aliased rows can only lower.
     """
 
     cuts_visited: int = 0
@@ -97,13 +113,17 @@ class TraversalStats:
     elapsed_s: float = 0.0
 
 
-def _fill_to_rank(buf: list[int], d: int, lengths: Sequence[int]) -> int:
-    """Add ``d`` events bottom-up, taking as much of each low chain as fits.
+def _fill_to_rank(buf: list[int], d: int, lengths: Sequence[int], j: int = 0) -> int:
+    """Add ``d`` events bottom-up from ``buf[j]``, taking as much of each
+    chain as fits.
 
-    The chains must have room for ``d`` more events.  Returns the number of
-    chains visited, which is what the component-op counters charge.
+    The chains from index ``j`` up must have room for ``d`` more events.  A
+    caller that starts above index 0 must know ``buf[:j]`` to be full, so
+    the result is the one a top-up from index 0 gives.  Returns one past the
+    index of the last chain visited; the component-op counters charge that
+    many chains, as if the top-up had started at index 0.  Every chain below
+    the last one visited is full afterwards.
     """
-    j = 0
     while d:
         cap = lengths[j] - buf[j]
         take = d if d < cap else cap
@@ -250,11 +270,12 @@ def traverse_rank_range(
         stale = 0
         return above
 
+    bumpable = range(1, n_u)  # chain 1 has no lower part to pull up
     cuts = 0
     live = 2 if visitor is None else 3  # cut, candidate lower part, snapshot
     for r in range(r1, r2 + 1):
         g = [0] * n_u
-        ops = _fill_to_rank(g, r, lengths)
+        j = ops = _fill_to_rank(g, r, lengths)  # chains 1..j - 1 are full
         top = n_u  # rows 1..top - 1 are stale; a fresh seed stales them all
         stale = n_u
         visits = 0
@@ -275,10 +296,11 @@ def traverse_rank_range(
                 if stop:
                     stats.early_stopped = True
                     break
-            # Step to the lexical successor in place, trying chains from the
-            # second-lowest upward.  Bumping chain i + 1 makes the new lower
-            # part the componentwise max of the bumped event's clock and
-            # proj[i]: the causal closure of every retained frontier event.
+            # Step to the lexical successor in place, trying chains upward
+            # from the lowest one not known to be full.  Bumping chain i + 1
+            # makes the new lower part the componentwise max of the bumped
+            # event's clock and proj[i]: the causal closure of every retained
+            # frontier event.
             # proj[i] misses only frontiers that a top-up (or the seed) put
             # on chains up to the highest one it reached, and no step needs
             # them: the chains below that one are full and cannot be bumped,
@@ -286,8 +308,18 @@ def traverse_rank_range(
             # bumping a higher chain rewrites them all.
             # The bump adds one event, so the candidate's rank fits iff its
             # lower part holds fewer events than g[:i], a running prefix sum.
-            pre = 0
-            for i in range(1, n_u):
+            # The last top-up (or the seed) reached chain j and left chains
+            # 1..j - 1 full.  A full chain cannot be bumped, so the scan
+            # starts at chain j (index j - 1), or chain 2 if that is higher,
+            # with the prefix sum of the chains below it.  After a step with
+            # no top-up, j is 0 and the scan starts at chain 2.
+            if j > 2:
+                pre = sum(g[: j - 2])
+                scan = range(j - 1, n_u)
+            else:
+                pre = 0
+                scan = bumpable
+            for i in scan:
                 pre += g[i - 1]
                 ki = g[i]
                 if ki < lengths[i]:
@@ -304,7 +336,17 @@ def traverse_rank_range(
                         # is the new proj[i].
                         proj[i] = lower
                         if low + 1 < pre:
-                            ops += _fill_to_rank(g, pre - 1 - low, lengths)
+                            # Top up from the lowest chain of the lower part
+                            # with room; the full chains below it would take
+                            # nothing.  Chains 1..i held pre events before the
+                            # step, so the top-up fits in them and that chain
+                            # exists.  Nearly always it is chain 1.
+                            t = 0 if lower[0] < lengths[0] else next(
+                                compress(count(), map(lt, lower, lengths)))
+                            j = _fill_to_rank(g, pre - 1 - low, lengths, t)
+                            ops += j
+                        else:
+                            j = 0
                         break
             else:
                 break  # g is the lexical maximum of its rank

@@ -176,6 +176,14 @@ class TestTraverse:
         assert "cuts=" not in captured.out
         assert "trace-format 2" in captured.err
 
+    def test_negative_memory_cap_is_usage_error(self, six_event_path, capsys):
+        assert main([
+            "traverse", six_event_path, "--algo", "traditional", "--max-stored", "-1",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert "--max-stored" in captured.err
+        assert "cuts=" not in captured.out
+
     def test_memory_cap_is_resource_error(self, tmp_path, capsys):
         comp = generate_random(GenSpec(n=6, total_events=24, message_probability=0.0, seed=3))
         path = tmp_path / "wide.trace"
@@ -287,6 +295,21 @@ class TestBench:
 
     def test_unknown_algorithm_is_usage_error(self, six_event_path, capsys):
         assert main(["bench", six_event_path, "--algos", "uniflow,dfs"]) == 2
+
+    @pytest.mark.parametrize("argv,option", [
+        (["--reps", "0"], "--reps"),
+        (["--reps", "-2"], "--reps"),
+        (["--algos", ","], "--algos"),
+        (["--ranks"], "--ranks"),
+        (["--algos", "traditional", "--max-stored", "-1"], "--max-stored"),
+    ])
+    def test_run_nothing_options_are_usage_errors(self, six_event_path, capsys, argv, option):
+        """An option that leaves nothing to run, or a negative cap, exits 2
+        before any run, naming the option."""
+        assert main(["bench", six_event_path, *argv]) == 2
+        captured = capsys.readouterr()
+        assert option in captured.err
+        assert "algorithm" not in captured.out  # no report table
 
     def test_empty_trace_row(self, tmp_path, capsys):
         path = tmp_path / "empty.trace"

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from cutlattice.baselines import traditional_bfs
 from cutlattice.model import Computation, make_computation
+from cutlattice.traceio import parse_document, serialize_trace
 from cutlattice.traversal import traverse_bfs
 from cutlattice.uniflow import (
     build_uniflow_partition,
@@ -21,7 +22,7 @@ from cutlattice.uniflow import (
     verify_uniflow,
 )
 
-from conftest import closure_predecessors, oracle_rank_sets
+from conftest import closure_predecessors, downset_event_sets, event_set_to_cut, oracle_rank_sets
 from reference import trivial_partition
 
 MAX_EVENTS = 14  # keeps the downset oracle cheap: at most 2**14 event sets
@@ -103,3 +104,47 @@ def test_clocks_count_the_causal_past(comp):
         for eid in comp.topo_order:
             members = past[eid] | {eid}
             assert list(part.uvc[eid]) == chain_counts(members, part.chain_of.__getitem__, part.n_u)
+
+
+def walk(part) -> list[tuple[int, tuple, tuple]]:
+    """[(rank, uniflow cut, remapped cut), ...] in the walk's visit order."""
+    seen: list[tuple[int, tuple, tuple]] = []
+    traverse_bfs(part, lambda cut, r, remap_fn: seen.append((r, cut, remap_fn())))
+    return seen
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(computations())
+def test_remap_is_the_downsets_original_cut(comp):
+    """``remap()`` called during its visit, and again after the walk has
+    ended, returns the original-process cut of the visited downset.  The
+    expected cut projects the downset's event set onto the processes, so it
+    shares no code with the remap table or the one-shot remap."""
+    for part in (regenerate_vector_clocks(build_uniflow_partition(comp)), trivial_partition(comp)):
+        original = {
+            event_set_to_cut(members, part): event_set_to_cut(members, comp)
+            for members in downset_event_sets(comp)
+        }
+        kept = []
+
+        def visitor(cut, r, remap_fn):
+            assert remap_fn() == original[cut], (cut, r)
+            kept.append((cut, remap_fn))
+
+        traverse_bfs(part, visitor)
+        assert len(kept) == len(original)
+        for cut, remap_fn in kept:
+            assert remap_fn() == original[cut], cut
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(computations())
+def test_trace_round_trip_gives_the_same_walk(comp):
+    """A computation written with ``serialize_trace`` and read back with
+    ``parse_document`` walks the same cuts, in the same order, with the same
+    remapped cuts, as the computation it was written from."""
+    doc = parse_document(serialize_trace(comp))
+    back = make_computation(doc.n, doc.records)
+    assert walk(regenerate_vector_clocks(build_uniflow_partition(back))) == walk(
+        regenerate_vector_clocks(build_uniflow_partition(comp))
+    )

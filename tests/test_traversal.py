@@ -54,11 +54,12 @@ def collect(part, r1=None, r2=None):
     return seen, stats
 
 
-def plain_walk(part):
-    """[(rank, cut), ...] by a plain ``get_min_cut``/``get_successor`` loop."""
+def plain_walk(part, r1=0, r2=None):
+    """[(rank, cut), ...] over ranks ``r1..r2`` (default: every rank) by a
+    plain ``get_min_cut``/``get_successor`` loop."""
     out = []
     empty = (0,) * part.n_u
-    for r in range(part.event_count + 1):
+    for r in range(r1, (part.event_count if r2 is None else r2) + 1):
         g = get_min_cut(empty, r, part)
         while g is not None:
             out.append((r, g))
@@ -235,6 +236,20 @@ class TestTraverseBfs:
         part = prepared(comp)
         seen, stats = collect(part)
         assert [(r, cut) for r, cut, _ in seen] == plain_walk(part)
+        assert all(original == remap(cut, part) for _, cut, original in seen)
+        assert stats.cuts_visited == len(seen)
+
+    @pytest.mark.parametrize("spec,r1,r2", [
+        (GenSpec(10, 1000, 0.3, 1), 997, 1000),  # the benchmark's top-e1000 window
+        (GenSpec(10, 100, 0.3, 6), 95, 100),  # the top ranks of the desk trace
+    ], ids=["top-e1000", "desk-top"])
+    def test_walk_matches_plain_successor_loop_at_high_ranks(self, spec, r1, r2):
+        """Near the top of the lattice most chains are full: a top-up starts
+        above a run of full chains, and the next step's scan starts above
+        chain 2.  The walk must still take exactly the plain loop's steps."""
+        part = prepared(generate_random(spec))
+        seen, stats = collect(part, r1, r2)
+        assert [(r, cut) for r, cut, _ in seen] == plain_walk(part, r1, r2)
         assert all(original == remap(cut, part) for _, cut, original in seen)
         assert stats.cuts_visited == len(seen)
 
