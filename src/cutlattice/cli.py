@@ -462,11 +462,19 @@ def cmd_bench(args) -> int:
     if args.reps < 1:
         raise UsageError(f"--reps must be at least 1, got {args.reps}")
     _check_max_stored(args.max_stored)
-    reports: list[RunReport] = []
+    # Every trace and every rank window is checked before the first run, so
+    # a window that does not fit a later trace loses no finished runs.
+    batch = []
     for path in args.traces:
         name, comp = _load_trace(path)
-        for ranks_text in args.ranks:
-            window = parse_rank_spec(ranks_text, comp.event_count)
+        try:
+            windows = [(text, parse_rank_spec(text, comp.event_count)) for text in args.ranks]
+        except UsageError as exc:
+            raise UsageError(f"{path}: {exc}") from None
+        batch.append((name, comp, windows))
+    reports: list[RunReport] = []
+    for name, comp, windows in batch:
+        for ranks_text, window in windows:
             for algo in algos:
                 for rep in range(args.reps):
                     reports.append(_run(

@@ -21,24 +21,22 @@ of the lattice:
   shared object, and is cut short where it is read.  So the rows hold at
   most ``n_u * (n_u - 1) / 2`` integers of their own, since ``proj[0]`` is
   never read, and fewer when rows alias;
-- once a visitor has called ``remap()``, the original-clock table: row ``i``
-  is the componentwise max of the *original* vector clocks of the frontier
-  events on chains ``i + 1..n_u``, ``n * n_u`` integers.
+- once a visitor has called ``remap()``, the event counts: the number of
+  events of each source process in one uniflow cut, ``n`` integers, and
+  that cut, ``n_u`` integers.
 
 A step that bumps chain ``i`` changes the cut on chains ``1..i`` only, so
-every row above ``i`` stays valid in both tables.  The step rewrites the
+every projection row above ``i`` stays valid.  The step rewrites the
 projection row it read, and the rows below that are refreshed at one site,
 the top of the next visit; after a rank's seed that site refreshes every
 row.  The refresh never folds and never copies: one slice assignment points
 every stale projection row at the row above, so neither a chain nor a
 component costs anything there.  Aliasing is sound because no row object is
 mutated after it is stored; a step replaces its row with a new list.  The
-original-clock rows are refreshed only when ``remap()`` is called, from the
-highest chain any step has bumped since the last call.  A chain whose count
-does not exceed component ``i`` of the projection row above adds nothing to
-its original-clock row, which then copies the row above: its frontier event
-precedes a higher frontier event, whose clock covers its own.  A projection
-row that holds less only makes that test fold more often.  The stats report
+event counts are moved only when ``remap()`` is called, on the chains up to
+the highest one any step has bumped since the last call, or on every chain
+after a rank's seed: each event between the counted cut's count of a chain
+and the current one adds or removes one on its process.  The stats report
 both the cut and the integer counts, so tests can assert the space claim
 instead of trusting it.
 
@@ -56,15 +54,16 @@ reference.
 
 A visitor is any callable ``visitor(cut, rank, remap)``.  ``cut`` is a tuple
 over the uniflow chains, and ``remap()`` translates it to the original
-process chains.  During the visit ``remap()`` returns row 0 of the
-original-clock table: a uniflow chain is totally ordered by causality, so the
-clock of its frontier event already covers every earlier event on the chain.
-Both the table and the one-shot :func:`remap` read the partition's
-``origin_rows``, the original clock of every event laid out chain by chain.
-A ``remap`` kept and called after its visit has ended falls back to the
-one-shot :func:`remap` of its own cut, so it still returns that cut's image.
-Returning ``False`` from the visitor stops the traversal early; any other
-return value continues it.
+process chains.  A consistent cut is a downset, so the events of each process
+it holds are a prefix of that process's chain, and component ``p`` of the
+original cut is just the number of events of process ``p`` in the cut.
+During the visit ``remap()`` returns the event counts, moved from the cut of
+the last call to this one; the one-shot :func:`remap` moves them from the
+empty cut.  Both read the partition's ``process_rows``, the process of every
+event laid out chain by chain.  A ``remap`` kept and called after its visit
+has ended falls back to the one-shot :func:`remap` of its own cut, so it
+still returns that cut's image.  Returning ``False`` from the visitor stops
+the traversal early; any other return value continues it.
 """
 
 from __future__ import annotations
@@ -76,7 +75,7 @@ from itertools import compress, count
 from operator import lt
 from typing import Callable, Sequence
 
-from .model import Clock, Cut, UsageError, is_consistent
+from .model import Cut, UsageError, is_consistent
 from .uniflow import UniflowPartition
 
 Visitor = Callable[[Cut, int, Callable[[], Cut]], object]
@@ -91,15 +90,17 @@ class TraversalStats:
     rank, which is how rank-slice isolation is asserted; a rank takes one
     successor step per visit, one fewer when the visitor stopped the walk
     there.  ``component_ops`` counts the walk's inner-loop vector-component
-    operations (candidate tests, top-ups and remap folds) and backs the
+    operations (candidate tests, top-ups and remap events) and backs the
     per-cut cost measurements.  A top-up is charged one op per chain up to
     the highest one it fills, the full chains below its start included, so
-    the count does not depend on where the step starts its loops.
+    the count does not depend on where the step starts its loops; a remap
+    is charged one op per event it adds or removes.
     ``peak_live_cuts`` / ``aux_int_peak`` are the cut vectors and auxiliary
     integers the walk retains at once.  ``aux_int_peak`` is the size of the
-    triangular projection rows, ``n_u * (n_u - 1) / 2``, plus ``n * n_u``
-    once the original-clock table exists: an upper bound on the integers
-    the rows hold, which aliased rows can only lower.
+    triangular projection rows, ``n_u * (n_u - 1) / 2``, plus ``n + n_u``
+    once the event counts exist: an upper bound on the integers the rows
+    hold, which aliased rows can only lower, and exactly the counts and the
+    cut they describe.
     """
 
     cuts_visited: int = 0
@@ -195,9 +196,10 @@ def remap(g_u: Sequence[int], part: UniflowPartition) -> Cut:
     """Translate a consistent uniflow cut to the original process chains.
 
     The result is the unique consistent cut of the source computation with
-    the same event set: the componentwise max of the original clocks of the
-    frontier events (``part.origin_rows``), which covers every non-frontier
-    event through causal closure.
+    the same event set.  A consistent cut is a downset, so the events of
+    each process it holds are a prefix of that process's chain: component
+    ``p`` of the result is the number of events of process ``p`` in the cut,
+    counted along the uniflow chains (``part.process_rows``).
     """
     if not is_consistent(g_u, part):
         raise UsageError(f"cut {tuple(g_u)} is not consistent in this partition")
@@ -205,11 +207,40 @@ def remap(g_u: Sequence[int], part: UniflowPartition) -> Cut:
 
 
 def _remap_unchecked(g_u: Sequence[int], part: UniflowPartition) -> Cut:
-    out: Clock = (0,) * part.source.n
-    for row, k in zip(part.origin_rows, g_u):
-        if k:
-            out = tuple([a if a > b else b for a, b in zip(row[k - 1], out)])
-    return out
+    counts = [0] * part.source.n
+    _move_counts(counts, [0] * part.n_u, g_u, part.process_rows, part.n_u)
+    return tuple(counts)
+
+
+def _move_counts(
+    counts: list[int],
+    seen: list[int],
+    cut: Sequence[int],
+    procs: Sequence[Sequence[int]],
+    stop: int,
+) -> int:
+    """Move ``counts``, the events per process of the uniflow cut ``seen``,
+    to those of ``cut``, and ``seen`` to ``cut``.
+
+    Only chains below ``stop`` are compared; the caller knows the chains
+    from ``stop`` up to agree.  Each event between the two counts of a chain
+    adds or removes one on its process.  Returns the number of events moved.
+    """
+    moved = 0
+    for t in range(stop):
+        k = cut[t]
+        s = seen[t]
+        if k > s:
+            for p in procs[t][s:k]:
+                counts[p] += 1
+            moved += k - s
+            seen[t] = k
+        elif k < s:
+            for p in procs[t][k:s]:
+                counts[p] -= 1
+            moved += s - k
+            seen[t] = k
+    return moved
 
 
 def traverse_bfs(part: UniflowPartition, visitor: Visitor | None = None) -> TraversalStats:
@@ -241,34 +272,29 @@ def traverse_rank_range(
     lengths = part.chain_lengths
     n_u = part.n_u
     n = part.source.n
-    # The projection rows; as in the table, the last row stands for no chains.
+    # The projection rows; the last row stands for no chains.
     proj: list[Sequence[int]] = [[]] * n_u + [[0] * n_u]
     proj_ints = n_u * (n_u - 1) // 2
-    zero = (0,) * n
-    table: list[Clock] | None = None  # the original-clock table, built on first remap()
-    origin: Sequence[Sequence[Clock]] = ()  # original clocks along each uniflow chain
-    stale = n_u  # rows 0..stale - 1 of the table may be out of date
+    # Built on the first remap(): the events per process of the cut `seen`.
+    counts: list[int] | None = None
+    seen: list[int] = []
+    procs: Sequence[Sequence[int]] = ()
+    stale = n_u  # chains 1..stale of the cut may differ from seen
     current: Cut | None = None  # the snapshot of the visit in progress
     remap_ops = 0
 
     def remap_visit(snap: Cut) -> Cut:
-        nonlocal table, origin, stale, remap_ops
+        nonlocal counts, seen, procs, stale, remap_ops
         if snap is not current:
             return _remap_unchecked(snap, part)
-        if table is None:
-            table = [zero] * (n_u + 1)  # the last row stands for no chains
-            origin = part.origin_rows
+        if counts is None:
+            counts = [0] * n
+            seen = [0] * n_u
+            procs = part.process_rows
             stale = n_u
-        above = table[stale]
-        for i in range(stale - 1, -1, -1):
-            k = snap[i]
-            # proj[i + 1][i]: how far up chain i the higher frontiers reach
-            if k > proj[i + 1][i]:
-                above = tuple([a if a > b else b for a, b in zip(origin[i][k - 1], above)])
-                remap_ops += n
-            table[i] = above
+        remap_ops += _move_counts(counts, seen, snap, procs, stale)
         stale = 0
-        return above
+        return tuple(counts)
 
     bumpable = range(1, n_u)  # chain 1 has no lower part to pull up
     cuts = 0
@@ -362,7 +388,7 @@ def traverse_rank_range(
         stats.component_ops += ops + remap_ops
         remap_ops = 0
         stats.peak_live_cuts = live
-        stats.aux_int_peak = proj_ints + (n * n_u if table is not None else 0)
+        stats.aux_int_peak = proj_ints + (n + n_u if counts is not None else 0)
         if stats.early_stopped:
             break
     stats.cuts_visited = cuts

@@ -15,6 +15,14 @@ receive come first, so senders tend to sit on low chains and receivers above
 them, where their messages flow upward without opening fresh chains.  It is
 a measured heuristic that usually lowers the chain count.  It does not aim
 for the minimum chain count; that optimization problem is out of scope.
+
+A partition also lists, chain by chain, the source process of every event
+(``process_rows``).  A consistent cut holds a prefix of each process's
+events, so counting its events per process along those rows gives the
+original cut; that is how both remaps translate a uniflow cut back.
+
+:func:`verify_uniflow` checks the property in time linear in the events and
+their direct dependencies.
 """
 
 from __future__ import annotations
@@ -30,7 +38,6 @@ from .model import (
     Event,
     UsageError,
     fold_clocks,
-    happened_before,
 )
 
 
@@ -41,9 +48,9 @@ class UniflowPartition:
     ``chains[i]`` lists event ids in chain order for chain ``i + 1``.
     ``uvc`` maps each event to its vector clock over the *uniflow* chains and
     is ``None`` until :func:`regenerate_vector_clocks` has run.
-    ``origin_rows`` holds each event's *original* vector clock, laid out like
+    ``process_rows`` holds each event's 0-based source process, laid out like
     ``clock_rows``; it is what :func:`cutlattice.traversal.remap` and the
-    walk's ``remap()`` fold.
+    walk's ``remap()`` count.
 
     Instances are immutable once built and safe to share between threads.
     """
@@ -66,11 +73,11 @@ class UniflowPartition:
         return tuple(len(c) for c in self.chains)
 
     @cached_property
-    def origin_rows(self) -> tuple[tuple[Clock, ...], ...]:
-        """Per-chain original clocks: ``origin_rows[i][k]`` is the clock, over
-        the source's processes, of the (k+1)-th event on chain i+1."""
+    def process_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Per-chain source processes: ``process_rows[i][k]`` is the 0-based
+        process of the (k+1)-th event on chain i+1, ``|E|`` ints in all."""
         events = self.source.events
-        return tuple(tuple(events[eid].vc for eid in chain) for chain in self.chains)
+        return tuple(tuple(events[eid].process - 1 for eid in chain) for chain in self.chains)
 
     @cached_property
     def clock_rows(self) -> tuple[tuple[Clock, ...], ...]:
@@ -225,21 +232,31 @@ def verify_uniflow(part: UniflowPartition) -> bool:
     """Check the uniflow property against the original clocks.
 
     True iff every chain is totally ordered by causality and no event on a
-    higher chain happened-before an event on a lower chain.  Quadratic in the
-    event count; meant for validation, not hot paths.
+    higher chain happened-before an event on a lower chain.  Two checks
+    suffice, each O(1) per event or per dependency:
+
+    - consecutive events on a chain are ordered, by the Fidge-Mattern test:
+      a distinct event ``a`` precedes ``b`` iff ``b``'s clock counts ``a`` on
+      ``a``'s own process, ``a.vc[q] <= b.vc[q]`` with
+      ``q = a.process - 1``;
+    - every direct dependency of an event sits on its own chain or a lower
+      one.
+
+    Causality is the transitive closure of the direct dependencies, so every
+    causal path then only goes upward, and no higher event precedes a lower
+    one.
     """
     events = part.source.events
     for chain in part.chains:
         for a, b in zip(chain, chain[1:]):
-            if not happened_before(events[a].vc, events[b].vc):
+            ea = events[a]
+            q = ea.process - 1
+            if a == b or ea.vc[q] > events[b].vc[q]:
                 return False
-    flat = [
-        (ci, events[eid].vc)
-        for ci, chain in enumerate(part.chains, start=1)
-        for eid in chain
-    ]
-    for ci, vci in flat:
-        for cj, vcj in flat:
-            if ci < cj and happened_before(vcj, vci):
+    chain_of = part.chain_of
+    for eid, ev in events.items():
+        c = chain_of[eid]
+        for d in ev.deps:
+            if chain_of[d] > c:
                 return False
     return True

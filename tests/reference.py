@@ -11,6 +11,10 @@ against these only up to the prefix the walk reads.
 per component of every predecessor, that
 :func:`cutlattice.model.fold_clocks` must match exactly.
 
+``verify_uniflow_pairwise`` is the quadratic uniflow check, every pair of
+events compared by their original clocks, that the linear
+:func:`cutlattice.uniflow.verify_uniflow` must agree with.
+
 The other helpers build inputs that the online partitioner never makes
 (explicit chains, the one-event-per-chain partition), state the fill lemma
 the walk's top-up relies on, and parse a trace straight into a computation.
@@ -20,7 +24,15 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from cutlattice.model import Clock, Computation, Cut, UsageError, is_consistent, make_computation
+from cutlattice.model import (
+    Clock,
+    Computation,
+    Cut,
+    UsageError,
+    happened_before,
+    is_consistent,
+    make_computation,
+)
 from cutlattice.traceio import parse_document
 from cutlattice.uniflow import UniflowPartition, regenerate_vector_clocks
 
@@ -66,6 +78,30 @@ def fold_clocks_per_component(
         acc[chain] = position
         clocks[eid] = acc
     return {eid: tuple(acc) for eid, acc in clocks.items()}
+
+
+def verify_uniflow_pairwise(part: UniflowPartition) -> bool:
+    """The uniflow property checked pair by pair against the original clocks.
+
+    True iff every chain is totally ordered by causality and no event on a
+    higher chain happened-before an event on a lower chain.  Quadratic in the
+    event count.
+    """
+    events = part.source.events
+    for chain in part.chains:
+        for a, b in zip(chain, chain[1:]):
+            if not happened_before(events[a].vc, events[b].vc):
+                return False
+    flat = [
+        (ci, events[eid].vc)
+        for ci, chain in enumerate(part.chains, start=1)
+        for eid in chain
+    ]
+    for ci, vci in flat:
+        for cj, vcj in flat:
+            if ci < cj and happened_before(vcj, vci):
+                return False
+    return True
 
 
 def partition_from_chains(

@@ -311,6 +311,26 @@ class TestBench:
         assert option in captured.err
         assert "algorithm" not in captured.out  # no report table
 
+    def test_window_too_high_for_a_later_trace_fails_before_any_run(
+        self, tmp_path, capsys
+    ):
+        """``--ranks 6`` fits the 8-event trace but not the 4-event one: exit
+        2 before any run, naming the trace, with no table and no CSV."""
+        eight = tmp_path / "a.trace"
+        eight.write_text(serialize_trace(
+            generate_random(GenSpec(n=2, total_events=8, message_probability=0.3, seed=5))))
+        four = tmp_path / "b.trace"
+        four.write_text(serialize_trace(
+            generate_random(GenSpec(n=2, total_events=4, message_probability=0.3, seed=5))))
+        csv_path = tmp_path / "out.csv"
+        assert main([
+            "bench", str(eight), str(four), "--ranks", "6", "--csv", str(csv_path),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"usage error: {four}: rank window 6..6 invalid for 4 events\n"
+        assert captured.out == ""
+        assert not csv_path.exists()
+
     def test_empty_trace_row(self, tmp_path, capsys):
         path = tmp_path / "empty.trace"
         path.write_text("n=2\n")

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from cutlattice.baselines import traditional_bfs
 from cutlattice.model import Computation, make_computation
 from cutlattice.traceio import parse_document, serialize_trace
-from cutlattice.traversal import traverse_bfs
+from cutlattice.traversal import traverse_bfs, traverse_rank_range
 from cutlattice.uniflow import (
     build_uniflow_partition,
     regenerate_vector_clocks,
@@ -23,7 +23,7 @@ from cutlattice.uniflow import (
 )
 
 from conftest import closure_predecessors, downset_event_sets, event_set_to_cut, oracle_rank_sets
-from reference import trivial_partition
+from reference import partition_from_chains, trivial_partition, verify_uniflow_pairwise
 
 MAX_EVENTS = 14  # keeps the downset oracle cheap: at most 2**14 event sets
 
@@ -135,6 +135,81 @@ def test_remap_is_the_downsets_original_cut(comp):
         assert len(kept) == len(original)
         for cut, remap_fn in kept:
             assert remap_fn() == original[cut], cut
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_lazy_remap_delta_matches_oracle(data):
+    """The walk's ``remap()`` moves its event counts from the cut of the last
+    call, however many visits, steps and rank seeds lie between two calls.
+    Over a drawn rank window it is called on no visit, on the first visit of
+    each rank, on every k-th visit or on a drawn subset of visits; each
+    returned cut must be the original-process cut of the visited downset.
+    The counts exist, and add ``n + n_u`` aux ints, only once it is called."""
+    comp = data.draw(computations())
+    trivial = data.draw(st.booleans())
+    part = trivial_partition(comp) if trivial else regenerate_vector_clocks(
+        build_uniflow_partition(comp))
+    r1 = data.draw(st.integers(0, comp.event_count))
+    r2 = data.draw(st.integers(r1, comp.event_count))
+    policy = data.draw(st.sampled_from(["none", "first-of-rank", "every-k", "subset"]))
+    k = data.draw(st.integers(1, 7))
+    flags = data.draw(st.lists(st.booleans(), min_size=1, max_size=40))
+    original = {
+        event_set_to_cut(members, part): event_set_to_cut(members, comp)
+        for members in downset_event_sets(comp)
+        if r1 <= len(members) <= r2
+    }
+    visits = []
+    calls = []
+    last_rank = -1
+
+    def visitor(cut, r, remap_fn):
+        nonlocal last_rank
+        v = len(visits)
+        visits.append(cut)
+        if policy == "first-of-rank":
+            call = r != last_rank
+        elif policy == "every-k":
+            call = v % k == 0
+        elif policy == "subset":
+            call = flags[v % len(flags)]
+        else:
+            call = False
+        last_rank = r
+        if call:
+            calls.append((cut, remap_fn()))
+
+    stats = traverse_rank_range(part, r1, r2, visitor)
+    assert sorted(visits) == sorted(original)
+    for cut, remapped in calls:
+        assert remapped == original[cut], cut
+    proj_ints = part.n_u * (part.n_u - 1) // 2
+    extra = comp.n + part.n_u if calls else 0
+    assert stats.aux_int_peak == proj_ints + extra
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_verify_uniflow_agrees_with_pairwise_check(data):
+    """The linear check and the quadratic oracle give the same verdict on
+    the online and the trivial partitions, which are uniflow, and on
+    partitions that often are not: the process chains, the online
+    partition's chains in a drawn order, and every event on one chain in
+    ``topo_order``, which is ordered only if the events are."""
+    comp = data.draw(computations())
+    online = build_uniflow_partition(comp)
+    order = data.draw(st.permutations(range(online.n_u)))
+    parts = [
+        online,
+        trivial_partition(comp),
+        partition_from_chains(comp, [c for c in comp.chains if c]),
+        partition_from_chains(comp, [online.chains[i] for i in order]),
+    ]
+    if comp.event_count:
+        parts.append(partition_from_chains(comp, [comp.topo_order]))
+    for part in parts:
+        assert verify_uniflow(part) == verify_uniflow_pairwise(part), part.chains
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)

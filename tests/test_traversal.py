@@ -268,14 +268,13 @@ class TestTraverseBfs:
         the row built from scratch.
 
         A stale row aliases the row above, so it can be longer than ``i``;
-        the step reads only its first ``i`` components, and ``remap()``'s
-        skip test reads ``proj[i + 1][i]``, inside that prefix of row
-        ``i + 1``.  The walk's refresh never folds, so a row can hold less
-        than the full projection: it misses the frontiers that only a top-up
-        put in place, which no step reads.  It must never hold more, since
-        the step and the skip test both take every component they read as
-        covered by a retained frontier event.  The visitor reads the rows
-        from the walk's frame, which calls it directly.
+        the step reads only its first ``i`` components.  The walk's refresh
+        never folds, so a row can hold less than the full projection: it
+        misses the frontiers that only a top-up put in place, which no step
+        reads.  It must never hold more, since the step takes every
+        component it reads as covered by a retained frontier event.  The
+        visitor reads the rows from the walk's frame, which calls it
+        directly.
         """
         comp = random_computation(seed, n, events, p)
         part = prepared(comp)
@@ -300,9 +299,9 @@ class TestTraverseBfs:
         stats = traverse_bfs(part, lambda c, r, m: m() is not None)
         assert stats.peak_live_cuts <= 3
         assert stats.aux_int_peak <= n_u * n_u + 4 * n_u
-        # Structural sizes: the triangular rows, plus the original-clock
-        # table once remap() has been called.
-        assert stats.aux_int_peak == proj_ints(part) + comp.n * n_u
+        # Structural sizes: the triangular rows, plus the event counts and
+        # the cut they describe once remap() has been called.
+        assert stats.aux_int_peak == proj_ints(part) + comp.n + n_u
         assert traverse_bfs(part).aux_int_peak == proj_ints(part)
         assert traverse_bfs(part, lambda c, r, m: True).aux_int_peak == proj_ints(part)
 
@@ -337,12 +336,16 @@ class TestTraverseBfs:
         rank 3 (207 cuts), up to a fixed slack.
 
         Measured on Python 3.11 after a warm-up walk, in a plain script:
-        4,632 B at rank 3 and 5,488 B at rank 14 (n_u = 10).  The 856 B
-        difference is original-clock table rows: at rank 3 at most 3 of them
-        hold their own 10-int tuple and the rest alias the row above, at
-        rank 14 up to 10 do.  Both tables together hold 145 ints.  The slack
-        allows more than twice the difference; retaining one small tuple per
-        cut would exceed it by three orders of magnitude.
+        4,496 B at rank 3 and 4,896 B at rank 14 (n_u = 10).  A count-only
+        walk shows the same 400 B difference, so it is projection rows: at
+        rank 14 more of them hold a list of their own instead of aliasing
+        the row above.  Calling ``remap()`` adds 296 B at both ranks, the
+        event counts and the cut they describe, 20 ints in all.  The
+        original-clock table these replaced measured 4,848 B and 6,224 B in
+        the same script; the extra 976 B at rank 14 were table rows holding
+        a 10-int tuple of their own.  The slack allows five times today's difference;
+        retaining one small tuple per cut would exceed it by three orders of
+        magnitude.
         """
         slack = 2048
         comp = generate_random(GenSpec(10, 30, 0.3, 1))
@@ -352,7 +355,7 @@ class TestTraverseBfs:
         def traced_peak(r, cuts):
             peak, stats = traced_walk_peak(part, r, r, visitor)
             assert stats.cuts_visited == cuts
-            assert stats.aux_int_peak == proj_ints(part) + comp.n * part.n_u
+            assert stats.aux_int_peak == proj_ints(part) + comp.n + part.n_u
             return peak
 
         traced_peak(3, 207)  # warm-up: first-call allocations of the interpreter
@@ -450,7 +453,7 @@ class TestWalkEdgeCases:
         assert uniflow_sets == oracle_rank_sets(comp, part)
         assert original_sets == oracle_rank_sets(comp)
         assert stats.peak_live_cuts <= 3
-        assert stats.aux_int_peak == proj_ints(part) + comp.n * part.n_u
+        assert stats.aux_int_peak == proj_ints(part) + comp.n + part.n_u
 
 
 class TestTraverseRankRange:

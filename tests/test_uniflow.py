@@ -34,7 +34,12 @@ from conftest import (
     identity_partition,
     random_computation,
 )
-from reference import partition_from_chains, trivial_partition, uniflow_fill
+from reference import (
+    partition_from_chains,
+    trivial_partition,
+    uniflow_fill,
+    verify_uniflow_pairwise,
+)
 
 
 def dv(*values):
@@ -209,37 +214,54 @@ class TestRegenerateVectorClocks:
                 assert part.uvc[eid][ci - 1] == k
 
 
+def checked_uniflow(part) -> bool:
+    """``verify_uniflow``'s verdict, asserted equal to the pairwise oracle's."""
+    verdict = verify_uniflow(part)
+    assert verdict == verify_uniflow_pairwise(part), part.chains
+    return verdict
+
+
 class TestVerifyUniflow:
     def test_upward_two_chain_partition(self, six_event):
-        assert verify_uniflow(identity_partition(six_event)) is True
+        assert checked_uniflow(identity_partition(six_event)) is True
 
     def test_upward_three_chain_partition(self, three_chain):
-        assert verify_uniflow(identity_partition(three_chain)) is True
+        assert checked_uniflow(identity_partition(three_chain)) is True
 
     def test_crossing_partition_rejected(self, crossing):
-        assert verify_uniflow(identity_partition(crossing)) is False
+        assert checked_uniflow(identity_partition(crossing)) is False
 
     def test_downward_message_rejected(self, downward_msg):
-        assert verify_uniflow(identity_partition(downward_msg)) is False
+        assert checked_uniflow(identity_partition(downward_msg)) is False
 
     def test_downward_message_repartitioned(self, downward_msg):
         # moving the late receiver onto the upper chain restores the property
         part = partition_from_chains(downward_msg, [(1, 2), (3, 4, 5, 6)])
-        assert verify_uniflow(part) is True
+        assert checked_uniflow(part) is True
+
+    def test_unordered_chains_rejected(self, six_event):
+        # a chain out of causal order, and one holding two concurrent events
+        assert checked_uniflow(partition_from_chains(six_event, [(2, 1, 3), (4, 5, 6)])) is False
+        assert checked_uniflow(partition_from_chains(six_event, [(1, 2, 3, 4), (5, 6)])) is False
+
+    def test_swapped_chains_rejected(self, three_chain):
+        # the lowest chain sends upward, so moving it to the top breaks the property
+        chains = three_chain.chains
+        assert checked_uniflow(partition_from_chains(three_chain, chains[1:] + chains[:1])) is False
 
     def test_agrees_with_closure_check(self):
         for seed in range(6):
             comp = random_computation(seed, n=3, events=12, p=0.4)
             part = build_uniflow_partition(comp)
-            assert verify_uniflow(part) == eq1_holds_by_closure(part)
+            assert checked_uniflow(part) == eq1_holds_by_closure(part)
             ident = partition_from_chains(comp, comp.chains)
-            assert verify_uniflow(ident) == eq1_holds_by_closure(ident)
+            assert checked_uniflow(ident) == eq1_holds_by_closure(ident)
 
     def test_fifty_event_partitions_pass_closure_check(self):
         for seed in (201, 202):
             comp = random_computation(seed, n=6, events=50, p=0.3)
             for part in (build_uniflow_partition(comp), trivial_partition(comp)):
-                assert verify_uniflow(part)
+                assert checked_uniflow(part)
                 assert eq1_holds_by_closure(part)
 
 
@@ -332,7 +354,9 @@ class TestCutCountInvariance:
 class TestOriginalEvents:
     def test_each_original_event_once(self):
         comp = random_computation(seed=61, n=3, events=15, p=0.3)
-        assert identity_partition(comp).origin_rows == comp.clock_rows
+        assert identity_partition(comp).process_rows == tuple(
+            (p_,) * len(chain) for p_, chain in enumerate(comp.chains)
+        )
         part = build_uniflow_partition(comp)
         positions = [
             (comp.events[eid].process, comp.events[eid].index_on_process)
@@ -346,6 +370,7 @@ class TestOriginalEvents:
         }
         assert len(positions) == len(expected)
         assert set(positions) == expected
+        assert [p_ - 1 for p_, _ in positions] == [p_ for row in part.process_rows for p_ in row]
 
     def test_full_cut_round_trip(self):
         for seed in (62, 63):
