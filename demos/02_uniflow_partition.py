@@ -43,7 +43,7 @@ print(f"\nn_u = {part.n_u} chains; uniflow property holds: {verify_uniflow(part)
 print("regenerated clocks:")
 for ci, chain in enumerate(part.chains, start=1):
     for eid in chain:
-        print(f"  chain {ci}: event {eid} uvc {format_cut(part.uvc[eid])}")
+        print(f"  chain {ci}: event {eid} uvc {format_cut(part.full_clock(eid))}")
 
 print("\nevery consistent cut, with its original-partition equivalent:")
 traverse_bfs(

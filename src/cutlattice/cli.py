@@ -366,7 +366,7 @@ def cmd_partition(args) -> int:
     if args.dump_clocks:
         for i, chain in enumerate(part.chains, start=1):
             for k, eid in enumerate(chain, start=1):
-                print(f"chain {i} pos {k} event {eid} uvc={format_cut(part.uvc[eid])}")
+                print(f"chain {i} pos {k} event {eid} uvc={format_cut(part.full_clock(eid))}")
     return 0
 
 

@@ -143,21 +143,19 @@ def fold_clocks(
 
     Each event's clock is the componentwise max of its predecessors' clocks,
     with component ``chain`` (0-based) set to its ``position`` on that chain.
-    Steps must arrive in an order that lists every predecessor first.  This
-    one fold builds both the original clocks and the uniflow clocks.
+    Steps must arrive in an order that lists every predecessor first.  It
+    builds the process clocks of :func:`make_computation`; the uniflow
+    clocks need only their lower part, which
+    :func:`cutlattice.uniflow.regenerate_vector_clocks` builds chain by
+    chain.
 
     Copy-then-merge: an event's accumulator starts as a copy of its first
     predecessor's clock, and each further predecessor is merged in by one
     ``zip`` comprehension; an event with no predecessors starts from zeros.
     Most events have a single predecessor (the one below on their chain), so
     most clocks cost one list copy instead of a compare per component.
-
-    The clocks are frozen into tuples only after the fold, in one burst, so
-    they do not alternate in memory with the fold's working lists.  The rank
-    walk reads them chain after chain, and at high ``n_u`` it runs measurably
-    slower over clocks interleaved with other allocations.
     """
-    clocks: dict[int, list[int] | Clock] = {}
+    clocks: dict[int, Clock] = {}
     for eid, preds, chain, position in steps:
         it = iter(preds)
         first = next(it, None)
@@ -168,8 +166,6 @@ def fold_clocks(
             for d in it:
                 acc = [a if a > b else b for a, b in zip(acc, clocks[d])]
         acc[chain] = position
-        clocks[eid] = acc
-    for eid, acc in clocks.items():
         clocks[eid] = tuple(acc)
     return clocks
 
@@ -206,7 +202,10 @@ def is_consistent(cut: Sequence[int], source) -> bool:
     ``source`` is anything exposing ``chain_lengths`` and ``clock_rows``
     (a :class:`Computation` or a uniflow partition).  The check uses the
     frontier events' clocks: chain ``i``'s ``k``-th event must have a clock
-    componentwise ``<=`` the cut.
+    componentwise ``<=`` the cut.  Only the components a clock row holds
+    are compared.  A computation's rows hold every component.  A uniflow
+    partition's rows hold the lower clocks, and the rest of each clock
+    always fits: its own component is ``k`` and the ones above are 0.
     """
     lengths = source.chain_lengths
     if len(cut) != len(lengths):
@@ -217,9 +216,8 @@ def is_consistent(cut: Sequence[int], source) -> bool:
     rows = source.clock_rows
     for i, k in enumerate(cut):
         if k:
-            vc = rows[i][k - 1]
-            for j, c in enumerate(cut):
-                if vc[j] > c:
+            for v, c in zip(rows[i][k - 1], cut):
+                if v > c:
                     return False
     return True
 

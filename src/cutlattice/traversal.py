@@ -1,8 +1,10 @@
 """Rank-by-rank traversal of the consistent-cut lattice in constant cut storage.
 
-Works over a uniflow partition with regenerated vector clocks.  For each rank
-the walk starts at the lexically smallest consistent cut of that rank and
-repeatedly steps to the lexical successor at the same rank, so the whole
+Works over a uniflow partition with regenerated vector clocks.  The walk
+reads only what the partition stores of them, the lower clocks: for an event
+on chain ``i + 1``, the ``i`` components on the chains below it.  For each
+rank the walk starts at the lexically smallest consistent cut of that rank
+and repeatedly steps to the lexical successor at the same rank, so the whole
 lattice (or any rank slice) is enumerated without ever storing a level.
 
 :func:`traverse_rank_range` holds a fixed set of buffers, whatever the size
@@ -10,7 +12,7 @@ of the lattice:
 
 - the current cut, one mutable list of ``n_u`` counts that each successor
   step rewrites in place, and the lower part of the candidate the step is
-  testing, with the slice of the bumped event's clock it is built from;
+  testing, built from the bumped event's lower clock;
 - with a visitor, the tuple snapshot of the current cut handed to it;
 - the projection rows: a step that bumps chain ``i + 1`` reads only the
   first ``i`` components of ``proj[i]``, and those are at most the
@@ -349,9 +351,10 @@ def traverse_rank_range(
                 pre += g[i - 1]
                 ki = g[i]
                 if ki < lengths[i]:
-                    # proj[i] may alias a longer row; zip stops at the i
-                    # components of the clock's lower part.
-                    lower = [a if a > b else b for a, b in zip(proj[i], rows[i][ki][:i])]
+                    # The bumped event's lower clock holds exactly i
+                    # components, so zip stops there even where proj[i]
+                    # aliases a longer row.
+                    lower = [a if a > b else b for a, b in zip(proj[i], rows[i][ki])]
                     ops += i
                     low = sum(lower)
                     if low < pre:

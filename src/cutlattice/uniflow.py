@@ -21,6 +21,12 @@ A partition also lists, chain by chain, the source process of every event
 events, so counting its events per process along those rows gives the
 original cut; that is how both remaps translate a uniflow cut back.
 
+:func:`regenerate_vector_clocks` gives each event its vector clock over the
+uniflow chains, of which it stores only the *lower clock*: the components on
+the chains below the event's own.  That is all the walk reads, and on a
+uniflow partition the rest is fixed (the event's position, then zeros).
+Regeneration therefore requires a uniflow partition.
+
 :func:`verify_uniflow` checks the property in time linear in the events and
 their direct dependencies.
 """
@@ -37,7 +43,6 @@ from .model import (
     Cut,
     Event,
     UsageError,
-    fold_clocks,
 )
 
 
@@ -46,8 +51,13 @@ class UniflowPartition:
     """A repartition of a computation's events into ``n_u`` chains.
 
     ``chains[i]`` lists event ids in chain order for chain ``i + 1``.
-    ``uvc`` maps each event to its vector clock over the *uniflow* chains and
-    is ``None`` until :func:`regenerate_vector_clocks` has run.
+    ``uvc`` maps each event to its *lower clock*, the components of its
+    vector clock over the uniflow chains that lie below its own chain: an
+    event on chain ``c`` holds ``c - 1`` of them.  The walk reads no other
+    component.  Events along a chain share one tuple until an event with a
+    dependency on a lower chain starts a new one.  ``uvc`` is ``None`` until
+    :func:`regenerate_vector_clocks` has run; :meth:`full_clock` gives the
+    whole ``n_u``-wide clock for display.
     ``process_rows`` holds each event's 0-based source process, laid out like
     ``clock_rows``; it is what :func:`cutlattice.traversal.remap` and the
     walk's ``remap()`` count.
@@ -81,13 +91,22 @@ class UniflowPartition:
 
     @cached_property
     def clock_rows(self) -> tuple[tuple[Clock, ...], ...]:
-        """Per-chain uniflow clocks; requires regenerated vector clocks."""
+        """Per-chain lower clocks: ``clock_rows[i][k]`` holds the ``i``
+        components below chain ``i + 1`` of the clock of the (k+1)-th event
+        on that chain; requires regenerated vector clocks."""
         if self.uvc is None:
             raise UsageError(
                 "partition has no uniflow vector clocks; call regenerate_vector_clocks first"
             )
         uvc = self.uvc
         return tuple(tuple(uvc[eid] for eid in chain) for chain in self.chains)
+
+    def full_clock(self, eid: int) -> Clock:
+        """The event's whole vector clock over the ``n_u`` uniflow chains:
+        its lower clock, then its position on its own chain, then zeros."""
+        c = self.chain_of[eid]
+        k = self.chains[c - 1].index(eid) + 1
+        return self.clock_rows[c - 1][k - 1] + (k,) + (0,) * (self.n_u - c)
 
     def full_cut(self) -> Cut:
         return self.chain_lengths
@@ -202,29 +221,59 @@ def build_uniflow_partition(comp: Computation) -> UniflowPartition:
 
 
 def regenerate_vector_clocks(part: UniflowPartition) -> UniflowPartition:
-    """Return the partition with vector clocks recomputed over its chains.
+    """Return the partition with the lower clock of every event filled in.
 
-    Same construction as for the original clocks, but over ``n_u`` chains and
-    with the implicit predecessor edge along each uniflow chain included.
+    An event's uniflow vector clock counts its causal past on each uniflow
+    chain, the event included, with the event below it on its chain taken as
+    one more predecessor.  Only part of it is stored: the *lower clock*, the
+    components on chains ``1..c - 1`` for an event on chain ``c``.  On a
+    uniflow partition the rest is fixed: component ``c`` is the event's
+    position on its chain, and every higher one is 0, since no dependency
+    sits on a higher chain.
+
+    The partition must be uniflow: every direct dependency of an event sits
+    on a lower chain or earlier on its own.  A dependency on a higher chain,
+    or later on the event's own chain, raises :class:`UsageError` naming the
+    event and both chains.
+
+    The clocks are built chain by chain, bottom to top, which lists every
+    predecessor first.  An event with no dependency on a lower chain has the
+    lower clock of the event below it, and shares that tuple.  Any other
+    event starts from a copy of it (zeros at the bottom of a chain) and
+    merges in each lower dependency ``d`` on chain ``t``: ``d``'s lower clock
+    on components ``1..t - 1`` and ``d``'s position on component ``t``.
     """
-    comp = part.source
-    events = comp.events
+    events = part.source.events
     chain_of = part.chain_of
-    position = {eid: k for chain in part.chains for k, eid in enumerate(chain, start=1)}
-    below = {eid: chain[k - 1] for chain in part.chains for k, eid in enumerate(chain) if k}
-
-    def preds(eid: int) -> frozenset[int]:
-        # The event below on the uniflow chain is often a dep already; as a
-        # set member it is folded once.
-        deps = events[eid].deps
-        return deps | {below[eid]} if eid in below else deps
-
-    uvc = fold_clocks(
-        ((eid, preds(eid), chain_of[eid] - 1, position[eid]) for eid in comp.topo_order),
-        part.n_u,
-    )
+    uvc: dict[int, Clock] = {}
+    position: dict[int, int] = {}  # filled as the chains are walked
+    for c, chain in enumerate(part.chains, start=1):
+        low: Clock | None = None  # the lower clock of the event below
+        for k, eid in enumerate(chain, start=1):
+            acc: list[int] | None = None
+            for d in events[eid].deps:
+                t = chain_of[d]
+                if t < c:
+                    if acc is None:
+                        acc = [0] * (c - 1) if low is None else list(low)
+                    acc[: t - 1] = [a if a > b else b for a, b in zip(acc, uvc[d])]
+                    p = position[d]
+                    if p > acc[t - 1]:
+                        acc[t - 1] = p
+                elif t > c or d not in position:
+                    where = "a higher chain" if t > c else "later on the same chain"
+                    raise UsageError(
+                        f"event {eid} on chain {c} depends on event {d} on chain {t}, "
+                        f"{where}; the partition is not uniflow"
+                    )
+            if acc is not None:
+                low = tuple(acc)
+            elif low is None:
+                low = (0,) * (c - 1)
+            uvc[eid] = low
+            position[eid] = k
     return UniflowPartition(
-        source=comp, chains=part.chains, chain_of=part.chain_of, uvc=uvc
+        source=part.source, chains=part.chains, chain_of=part.chain_of, uvc=uvc
     )
 
 

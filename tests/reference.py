@@ -1,7 +1,7 @@
 """Test-only references: code the tests use and the program does not.
 
 ``compute_projections`` rebuilds the full projection rows of one cut
-directly from the uniflow clocks.  The walk in
+directly from the uniflow clocks, each padded to its full width.  The walk in
 :func:`cutlattice.traversal.traverse_rank_range` keeps these rows
 incrementally: a row a step wrote holds only the components the next step
 reads, and a stale row aliases the row above, so the walk's rows are checked
@@ -40,19 +40,19 @@ from cutlattice.uniflow import UniflowPartition, regenerate_vector_clocks
 def compute_projections(g: Sequence[int], part: UniflowPartition) -> list[Clock]:
     """Accumulated causal projections of a cut's frontier, one row per chain.
 
-    Row ``i`` (index ``i - 1``) combines the clocks of the frontier events on
-    chains ``i..n_u``; only components ``1..i - 1`` of a row are ever
-    consumed.  The bottom row always reproduces the cut itself.  Empty chains
-    contribute nothing (their row aliases the row above).
+    Row ``i`` (index ``i - 1``) combines the full clocks
+    (:meth:`~cutlattice.uniflow.UniflowPartition.full_clock`) of the frontier
+    events on chains ``i..n_u``; only components ``1..i - 1`` of a row are
+    ever consumed.  The bottom row always reproduces the cut itself.  Empty
+    chains contribute nothing (their row aliases the row above).
     """
-    rows = part.clock_rows
     n_u = part.n_u
     proj: list[Clock] = [()] * n_u
     above: Clock = (0,) * n_u
     for i in range(n_u - 1, -1, -1):
         k = g[i]
         if k:
-            vc = rows[i][k - 1]
+            vc = part.full_clock(part.chains[i][k - 1])
             above = tuple(a if a > b else b for a, b in zip(vc, above))
         proj[i] = above
     return proj

@@ -96,7 +96,10 @@ class TestComputeVectorClocks:
     @pytest.mark.parametrize("seed,events", [(1, 1000), (6, 100)], ids=["top-e1000", "desk"])
     def test_fold_matches_per_component_reference(self, seed, events):
         """The copy-then-merge fold gives exactly the slow fold's tuples, for
-        the original clocks and for the uniflow clocks."""
+        the original clocks and for the uniflow clocks.  Regeneration stores
+        only the components of each uniflow clock below the event's own
+        chain: the slow fold's own component is the event's position there,
+        and every higher one is 0."""
         comp = random_computation(seed, n=10, events=events, p=0.3)
         part = regenerate_vector_clocks(build_uniflow_partition(comp))
         evs = comp.events
@@ -111,15 +114,17 @@ class TestComputeVectorClocks:
                 uniflow.append((eid, preds, ci, k + 1))
         arrival = {eid: i for i, eid in enumerate(comp.topo_order)}
         uniflow.sort(key=lambda step: arrival[step[0]])
-        for steps, width, shipped in (
-            (original, comp.n, {eid: evs[eid].vc for eid in comp.topo_order}),
-            (uniflow, part.n_u, part.uvc),
-        ):
-            expected = fold_clocks_per_component(steps, width)
+        for steps, width in ((original, comp.n), (uniflow, part.n_u)):
             folded = fold_clocks(steps, width)
-            assert folded == expected
-            assert shipped == expected
+            assert folded == fold_clocks_per_component(steps, width)
             assert all(type(vc) is tuple for vc in folded.values())
+        expected = fold_clocks_per_component(original, comp.n)
+        assert {eid: evs[eid].vc for eid in comp.topo_order} == expected
+        expected = fold_clocks_per_component(uniflow, part.n_u)
+        for eid, _, ci, k in uniflow:
+            assert type(part.uvc[eid]) is tuple
+            assert part.uvc[eid] == expected[eid][:ci]
+            assert expected[eid][ci:] == (k,) + (0,) * (part.n_u - ci - 1)
 
 
 class TestMakeComputationValidation:

@@ -9,11 +9,12 @@ the downset oracle in ``conftest``, which shares no code with the walk.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutlattice.baselines import traditional_bfs
-from cutlattice.model import Computation, make_computation
+from cutlattice.model import Computation, UsageError, make_computation
 from cutlattice.traceio import parse_document, serialize_trace
 from cutlattice.traversal import traverse_bfs, traverse_rank_range
 from cutlattice.uniflow import (
@@ -94,16 +95,22 @@ def test_clocks_count_the_causal_past(comp):
     """Every clock component counts the event's causal past, the event
     included, on that chain: for the original processes and for both
     partitions' uniflow chains.  The past is a transitive closure over
-    ``deps``, so the check shares no code with the clock fold."""
+    ``deps``, so the check shares no code with the clock fold.
+
+    A uniflow clock stores only the components below the event's own chain;
+    the past's count on that chain is the event's position, and on every
+    higher chain it is 0."""
     past = closure_predecessors(comp)
     events = comp.events
     for eid in comp.topo_order:
         members = past[eid] | {eid}
         assert list(events[eid].vc) == chain_counts(members, lambda m: events[m].process, comp.n)
     for part in (regenerate_vector_clocks(build_uniflow_partition(comp)), trivial_partition(comp)):
-        for eid in comp.topo_order:
-            members = past[eid] | {eid}
-            assert list(part.uvc[eid]) == chain_counts(members, part.chain_of.__getitem__, part.n_u)
+        for c, chain in enumerate(part.chains, start=1):
+            for k, eid in enumerate(chain, start=1):
+                counts = chain_counts(past[eid] | {eid}, part.chain_of.__getitem__, part.n_u)
+                assert list(part.uvc[eid]) == counts[: c - 1]
+                assert counts[c - 1:] == [k] + [0] * (part.n_u - c)
 
 
 def walk(part) -> list[tuple[int, tuple, tuple]]:
@@ -210,6 +217,27 @@ def test_verify_uniflow_agrees_with_pairwise_check(data):
         parts.append(partition_from_chains(comp, [comp.topo_order]))
     for part in parts:
         assert verify_uniflow(part) == verify_uniflow_pairwise(part), part.chains
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_regeneration_requires_uniflow(data):
+    """On partitions into causally ordered chains, clock regeneration
+    succeeds exactly when the partition is uniflow, and otherwise raises
+    ``UsageError``: the process chains, and the online partition's chains in
+    a drawn order."""
+    comp = data.draw(computations())
+    online = build_uniflow_partition(comp)
+    order = data.draw(st.permutations(range(online.n_u)))
+    for part in (
+        partition_from_chains(comp, [c for c in comp.chains if c]),
+        partition_from_chains(comp, [online.chains[i] for i in order]),
+    ):
+        if verify_uniflow_pairwise(part):
+            assert regenerate_vector_clocks(part).uvc is not None
+        else:
+            with pytest.raises(UsageError, match="not uniflow"):
+                regenerate_vector_clocks(part)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)

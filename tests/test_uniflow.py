@@ -191,27 +191,77 @@ class TestBuildUniflowPartition:
 
 
 class TestRegenerateVectorClocks:
+    """``uvc`` holds each event's lower clock, the components below its own
+    chain; ``full_clock`` adds its position and the zeros above."""
+
     def test_cross_partition_labels(self, crossing):
         part = regenerate_vector_clocks(build_uniflow_partition(crossing))
-        assert part.uvc[4] == dv(1, 1, 1)  # P1#2 alone on the top chain
-        assert part.uvc[3] == dv(0, 2, 1)  # P2#2
+        assert part.full_clock(4) == dv(1, 1, 1)  # P1#2 alone on the top chain
+        assert part.uvc[4] == (1, 1)
+        assert part.full_clock(3) == dv(0, 2, 1)  # P2#2
+        assert part.uvc[3] == (1,)
 
     def test_three_chain_labels(self, three_chain):
         part = identity_partition(three_chain)
-        assert part.uvc[6] == dv(0, 3, 1)  # third event of the middle chain
-        assert part.uvc[7] == dv(1, 2, 0)
-        assert part.uvc[9] == dv(3, 2, 2)
+        assert part.full_clock(6) == dv(0, 3, 1)  # third event of the middle chain
+        assert part.uvc[6] == (1,)
+        assert part.full_clock(7) == dv(1, 2, 0)
+        assert part.uvc[7] == (0, 2)
+        assert part.full_clock(9) == dv(3, 2, 2)
+        assert part.uvc[9] == (2, 2)
 
     def test_first_event_on_lowest_chain(self, three_chain):
         part = identity_partition(three_chain)
-        assert part.uvc[1] == dv(0, 0, 1)
+        assert part.full_clock(1) == dv(0, 0, 1)
+        assert part.uvc[1] == ()
 
     def test_position_invariant(self):
         comp = random_computation(seed=21, n=4, events=16, p=0.4)
         part = regenerate_vector_clocks(build_uniflow_partition(comp))
         for ci, chain in enumerate(part.chains, start=1):
             for k, eid in enumerate(chain, start=1):
-                assert part.uvc[eid][ci - 1] == k
+                assert len(part.uvc[eid]) == ci - 1
+                assert part.full_clock(eid)[ci - 1] == k
+
+    def test_chain_shares_its_lower_clock(self):
+        """An event with no dependency on a lower chain holds the very tuple
+        of the event below it; any other event holds a new one."""
+        comp = random_computation(seed=6, n=10, events=100, p=0.3)
+        part = regenerate_vector_clocks(build_uniflow_partition(comp))
+        shared = 0
+        for ci, chain in enumerate(part.chains, start=1):
+            for below, eid in zip(chain, chain[1:]):
+                lower_deps = any(part.chain_of[d] < ci for d in comp.events[eid].deps)
+                assert (part.uvc[eid] is part.uvc[below]) is not lower_deps, eid
+                shared += not lower_deps
+        assert shared > 0
+
+    def test_top_e1000_clock_table(self):
+        """At the benchmark's ``top-e1000`` trace the lower clocks take 396
+        distinct tuples and 29,104 ints, where the full clocks took 1000
+        tuples of 144."""
+        part = regenerate_vector_clocks(build_uniflow_partition(
+            random_computation(seed=1, n=10, events=1000, p=0.3)))
+        distinct = {id(vc): vc for vc in part.uvc.values()}
+        assert part.n_u == 144
+        assert len(distinct) == 396
+        assert sum(map(len, distinct.values())) == 29_104
+
+    def test_crossing_process_chains_rejected(self, crossing):
+        # event 4 (P1#2) receives from event 2 (P2#1), one chain higher
+        with pytest.raises(UsageError, match=r"event 4 on chain 1 depends on event 2 on chain 2, a higher chain"):
+            regenerate_vector_clocks(partition_from_chains(crossing, crossing.chains))
+
+    def test_downward_message_rejected(self, downward_msg):
+        # event 6 (P1#3) receives from event 5 (P2#3), one chain higher
+        with pytest.raises(UsageError, match=r"event 6 on chain 1 depends on event 5 on chain 2, a higher chain"):
+            regenerate_vector_clocks(partition_from_chains(downward_msg, downward_msg.chains))
+
+    def test_later_event_on_own_chain_rejected(self, downward_msg):
+        # event 5 sits below event 4 on its chain, but event 4 is its predecessor
+        part = partition_from_chains(downward_msg, [(1, 2), (3, 5, 4, 6)])
+        with pytest.raises(UsageError, match=r"event 5 on chain 2 depends on event 4 on chain 2, later on the same chain"):
+            regenerate_vector_clocks(part)
 
 
 def checked_uniflow(part) -> bool:
@@ -229,10 +279,10 @@ class TestVerifyUniflow:
         assert checked_uniflow(identity_partition(three_chain)) is True
 
     def test_crossing_partition_rejected(self, crossing):
-        assert checked_uniflow(identity_partition(crossing)) is False
+        assert checked_uniflow(partition_from_chains(crossing, crossing.chains)) is False
 
     def test_downward_message_rejected(self, downward_msg):
-        assert checked_uniflow(identity_partition(downward_msg)) is False
+        assert checked_uniflow(partition_from_chains(downward_msg, downward_msg.chains)) is False
 
     def test_downward_message_repartitioned(self, downward_msg):
         # moving the late receiver onto the upper chain restores the property
@@ -320,14 +370,15 @@ class TestUniflowFill:
 
     def test_lemma_fails_without_uniflow(self, downward_msg):
         # the known counterexample: filling the lower chain of [2,2] in the
-        # downward-message partition includes an event without its dependency
-        part = identity_partition(downward_msg)
+        # downward-message partition includes an event without its dependency.
+        # That partition is the process chains, so the computation's own
+        # clocks judge consistency in the same coordinates.
         g = dv(2, 2)
-        assert is_consistent(g, part)
-        lengths = part.chain_lengths
+        assert is_consistent(g, downward_msg)
+        lengths = downward_msg.chain_lengths
         filled = tuple(lengths[i] if i < 1 else g[i] for i in range(2))
         assert filled == dv(2, 3)
-        assert not is_consistent(filled, part)
+        assert not is_consistent(filled, downward_msg)
 
 
 class TestCutCountInvariance:
@@ -354,7 +405,7 @@ class TestCutCountInvariance:
 class TestOriginalEvents:
     def test_each_original_event_once(self):
         comp = random_computation(seed=61, n=3, events=15, p=0.3)
-        assert identity_partition(comp).process_rows == tuple(
+        assert partition_from_chains(comp, comp.chains).process_rows == tuple(
             (p_,) * len(chain) for p_, chain in enumerate(comp.chains)
         )
         part = build_uniflow_partition(comp)
