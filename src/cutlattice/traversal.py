@@ -18,9 +18,10 @@ of the lattice:
   first ``i`` components of ``proj[i]``, and those are at most the
   componentwise max of the uniflow clocks of the frontier events on chains
   ``i + 1..n_u``: the row folds the clocks of events that successor steps put
-  in place, never of frontiers that only a top-up did.  A row a step wrote
-  holds exactly ``i`` components; a stale row is the row above itself, one
-  shared object, and is cut short where it is read.  So the rows hold at
+  in place, never of frontiers that only a top-up did, nor of the chain-2
+  events that the inline chain-2 step put in place (see below).  A row a
+  step wrote holds exactly ``i`` components; a stale row is the row above
+  itself, one shared object, and is cut short where it is read.  So the rows hold at
   most ``n_u * (n_u - 1) / 2`` integers of their own, since ``proj[0]`` is
   never read, and fewer when rows alias;
 - once a visitor has called ``remap()``, the event counts: the number of
@@ -53,6 +54,20 @@ nothing; nearly always that is chain 1.  The component-op counter still
 charges a top-up for every chain from chain 1 to the highest one it
 reached, as the plain top-up visits them, so the counts match the
 reference.
+
+On low-``n_u`` windows most steps bump chain 2 (33,785 of the 55,364 on
+the ``slice-d100`` benchmark window), so the walk steps chain 2 inline,
+before the general scan, whenever chain 2 can have room.  Its lower part
+is one integer, so the candidate is one compare,
+``max(proj[1][0], c) < g[0]`` for the bumped event's lower clock ``(c,)``,
+and on success chain 1 loses one event and chain 2 gains one: the top-up,
+when there is one, refills chain 1 to ``g[0] - 1``.  Only this step reads
+``proj[1]``, and it never writes it.  The lower clocks along a chain are
+nondecreasing, so the clock of the event it bumps next covers the clock of
+the one it bumped, and ``max(P, c_k, c_k+1) = max(P, c_k+1)``: folding
+``c_k`` in would change no candidate.  A step above chain 2 rewrites ``proj[1]`` through the refresh.
+The inline step charges the ops the general scan would (one for the
+candidate, one for a top-up), so every counter is the plain successor's.
 
 A visitor is any callable ``visitor(cut, rank, remap)``.  ``cut`` is a tuple
 over the uniflow chains, and ``remap()`` translates it to the original
@@ -95,8 +110,11 @@ class TraversalStats:
     operations (candidate tests, top-ups and remap events) and backs the
     per-cut cost measurements.  A top-up is charged one op per chain up to
     the highest one it fills, the full chains below its start included, so
-    the count does not depend on where the step starts its loops; a remap
-    is charged one op per event it adds or removes.
+    the count does not depend on where the step starts its loops, and a
+    tested candidate one op per component of its lower part, so the inline
+    chain-2 step charges one op for its candidate, one for its top-up and
+    none when chain 2 is full, as the general scan would; a remap is
+    charged one op per event it adds or removes.
     ``peak_live_cuts`` / ``aux_int_peak`` are the cut vectors and auxiliary
     integers the walk retains at once.  ``aux_int_peak`` is the size of the
     triangular projection rows, ``n_u * (n_u - 1) / 2``, plus ``n + n_u``
@@ -298,7 +316,10 @@ def traverse_rank_range(
         stale = 0
         return tuple(counts)
 
-    bumpable = range(1, n_u)  # chain 1 has no lower part to pull up
+    if n_u > 1:
+        rows1 = rows[1]  # chain 2's lower clocks, one component each
+        len1 = lengths[1]
+    upper = range(2, n_u)  # the general scan's chains, 3..n_u
     cuts = 0
     live = 2 if visitor is None else 3  # cut, candidate lower part, snapshot
     for r in range(r1, r2 + 1):
@@ -338,15 +359,45 @@ def traverse_rank_range(
             # lower part holds fewer events than g[:i], a running prefix sum.
             # The last top-up (or the seed) reached chain j and left chains
             # 1..j - 1 full.  A full chain cannot be bumped, so the scan
-            # starts at chain j (index j - 1), or chain 2 if that is higher,
-            # with the prefix sum of the chains below it.  After a step with
-            # no top-up, j is 0 and the scan starts at chain 2.
-            if j > 2:
+            # starts at chain j (index j - 1), with the prefix sum of the
+            # chains below it.  If j < 3, chain 2 may have room, so the
+            # inline chain-2 step goes first and the scan, if it fails,
+            # starts at chain 3.  After a step with no top-up, j is 0.
+            if j < 3:
+                if n_u < 2:
+                    break  # one chain or none: the rank holds one cut
+                # The inline chain-2 step (see the module docstring): one
+                # compare, and on success chain 1 loses one event whether
+                # or not the top-up refills it.  It charges what the general
+                # scan would: 1 op for the candidate, 1 for a top-up, none
+                # if chain 2 is full.  Only this step reads proj[1], and it
+                # never writes it: lower clocks grow along a chain, so
+                # max(P, c_k, c_k+1) = max(P, c_k+1).
+                g0 = g[0]
+                k = g[1]
+                if k < len1:
+                    ops += 1
+                    low = proj[1][0]
+                    c = rows1[k][0]
+                    if c > low:
+                        low = c
+                    if low < g0:
+                        g[0] = g0 - 1
+                        g[1] = k + 1
+                        if low + 1 < g0:
+                            ops += 1  # the top-up reached chain 1
+                            j = 1
+                        else:
+                            j = 0
+                        top = 1  # chains 1..2 changed; no row is stale
+                        if stale < 2:
+                            stale = 2
+                        continue
+                pre = g0
+                scan = upper
+            else:
                 pre = sum(g[: j - 2])
                 scan = range(j - 1, n_u)
-            else:
-                pre = 0
-                scan = bumpable
             for i in scan:
                 pre += g[i - 1]
                 ki = g[i]

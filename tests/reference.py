@@ -15,6 +15,11 @@ per component of every predecessor, that
 events compared by their original clocks, that the linear
 :func:`cutlattice.uniflow.verify_uniflow` must agree with.
 
+``plain_successor_walk`` runs the plain min-cut/successor loop over a rank
+window and records the chain each step bumps and the component ops the
+walk's charging rule gives those steps, so the walk's counters are checked
+against a loop that shares none of its shortcuts.
+
 The other helpers build inputs that the online partitioner never makes
 (explicit chains, the one-event-per-chain partition), state the fill lemma
 the walk's top-up relies on, and parse a trace straight into a computation.
@@ -22,7 +27,8 @@ the walk's top-up relies on, and parse a trace straight into a computation.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections import Counter
+from typing import Iterable, NamedTuple, Sequence
 
 from cutlattice.model import (
     Clock,
@@ -34,6 +40,7 @@ from cutlattice.model import (
     make_computation,
 )
 from cutlattice.traceio import parse_document
+from cutlattice.traversal import get_min_cut, get_successor
 from cutlattice.uniflow import UniflowPartition, regenerate_vector_clocks
 
 
@@ -56,6 +63,69 @@ def compute_projections(g: Sequence[int], part: UniflowPartition) -> list[Clock]
             above = tuple(a if a > b else b for a, b in zip(vc, above))
         proj[i] = above
     return proj
+
+
+class PlainWalk(NamedTuple):
+    cuts: list[tuple[int, Cut]]  # (rank, cut) in visit order
+    steps: list[int | None]  # the 1-based chain each cut's step bumped; None for a seed
+    ops: int  # component ops under the walk's charging rule
+
+    @property
+    def bumped(self) -> Counter[int]:
+        """Steps per bumped chain."""
+        return Counter(c for c in self.steps if c is not None)
+
+
+def plain_successor_walk(
+    part: UniflowPartition, r1: int, r2: int, visits: int | None = None
+) -> PlainWalk:
+    """The plain min-cut/successor loop over ranks ``r1..r2``, with the
+    chain each of its steps bumps and its component ops.
+
+    ``visits`` stops the loop after that many cuts, as a visitor returning
+    ``False`` on that visit stops the walk: no step is taken after it.
+
+    The ops follow the rule :class:`~cutlattice.traversal.TraversalStats`
+    states, derived here from each step's input and output only.  A seed or
+    a top-up costs one op per chain from chain 1 to the highest one it adds
+    an event to.  A step tests every chain from chain 2 up that is not full,
+    until one fits; testing chain ``i + 1`` costs ``i`` ops, the length of
+    its lower part.  A rank's last cut tests every chain that is not full
+    and finds none.
+    """
+    rows = part.clock_rows
+    lengths = part.chain_lengths
+    n_u = part.n_u
+    cuts: list[tuple[int, Cut]] = []
+    steps: list[int | None] = []
+    ops = 0
+
+    def reached(before: Sequence[int], after: Sequence[int]) -> int:
+        """One past the highest chain index where the two cuts differ."""
+        return max((t + 1 for t in range(n_u) if after[t] != before[t]), default=0)
+
+    for r in range(r1, r2 + 1):
+        g: Cut | None = get_min_cut((0,) * n_u, r, part)
+        ops += reached((0,) * n_u, g)
+        chain = None
+        while g is not None:
+            cuts.append((r, g))
+            steps.append(chain)
+            if len(cuts) == visits:
+                return PlainWalk(cuts, steps, ops)
+            nxt = get_successor(g, r, part)
+            b = n_u if nxt is None else reached(nxt, g) - 1  # the bumped index
+            ops += sum(i for i in range(1, min(b + 1, n_u)) if g[i] < lengths[i])
+            if nxt is not None:
+                chain = b + 1
+                # The candidate before its top-up: the bumped chain and those
+                # above it as in the successor, the lower ones pulled up to
+                # the closure of the frontier events on them.
+                frontier = [rows[c][nxt[c] - 1] for c in range(b, n_u) if nxt[c]]
+                cand = [max((vc[t] for vc in frontier), default=0) for t in range(b)]
+                ops += reached(cand + list(nxt[b:]), nxt)
+            g = nxt
+    return PlainWalk(cuts, steps, ops)
 
 
 def fold_clocks_per_component(

@@ -113,6 +113,21 @@ def test_clocks_count_the_causal_past(comp):
                 assert counts[c - 1:] == [k] + [0] * (part.n_u - c)
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(computations())
+def test_lower_clocks_nondecreasing_along_each_chain(comp):
+    """Each chain's stored lower clocks grow componentwise along the chain.
+    The walk's inline chain-2 step relies on it: it never folds a bumped
+    event's clock into ``proj[1]``, because the next event's clock on the
+    chain already covers it.  On the trivial partition every chain holds
+    one event, so only the clock lengths are checked there."""
+    for part in (regenerate_vector_clocks(build_uniflow_partition(comp)), trivial_partition(comp)):
+        for i, row in enumerate(part.clock_rows):
+            assert all(len(vc) == i for vc in row)
+            for a, b in zip(row, row[1:]):
+                assert all(x <= y for x, y in zip(a, b)), (i, a, b)
+
+
 def walk(part) -> list[tuple[int, tuple, tuple]]:
     """[(rank, uniflow cut, remapped cut), ...] in the walk's visit order."""
     seen: list[tuple[int, tuple, tuple]] = []

@@ -7,6 +7,7 @@ import gc
 import itertools
 import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -28,7 +29,7 @@ from conftest import (
     oracle_rank_sets,
     random_computation,
 )
-from reference import compute_projections, trivial_partition
+from reference import compute_projections, plain_successor_walk, trivial_partition
 
 
 def dv(*values):
@@ -57,14 +58,43 @@ def collect(part, r1=None, r2=None):
 def plain_walk(part, r1=0, r2=None):
     """[(rank, cut), ...] over ranks ``r1..r2`` (default: every rank) by a
     plain ``get_min_cut``/``get_successor`` loop."""
-    out = []
-    empty = (0,) * part.n_u
-    for r in range(r1, (part.event_count if r2 is None else r2) + 1):
-        g = get_min_cut(empty, r, part)
-        while g is not None:
-            out.append((r, g))
-            g = get_successor(g, r, part)
-    return out
+    return plain_successor_walk(part, r1, part.event_count if r2 is None else r2).cuts
+
+
+def assert_walk_matches_plain(part, r1, r2, visits=None):
+    """The walk over ranks ``r1..r2`` takes the plain loop's steps and
+    reports its counters: the cut sequence, ``per_rank``,
+    ``min_cut_calls``, ``successor_calls`` and ``component_ops``.
+
+    Checked with a visitor that never calls ``remap()`` (so no remap ops are
+    charged) and stops the walk on visit ``visits``, if given, and without a
+    visitor when it does not stop.  Returns the plain loop's record.
+    """
+    plain = plain_successor_walk(part, r1, r2, visits)
+    per_rank = dict(Counter(r for r, _ in plain.cuts))
+    steps = dict(per_rank)
+    if visits is not None:
+        last = plain.cuts[-1][0]
+        steps[last] -= 1
+        if not steps[last]:
+            del steps[last]
+    seen = []
+
+    def visitor(cut, r, remap_fn):
+        seen.append((r, cut))
+        return len(seen) != visits
+
+    runs = [traverse_rank_range(part, r1, r2, visitor)]
+    assert seen == plain.cuts
+    assert runs[0].early_stopped == (visits is not None)
+    if visits is None:
+        runs.append(traverse_rank_range(part, r1, r2))
+    for stats in runs:
+        assert stats.cuts_visited == len(plain.cuts)
+        assert stats.per_rank == stats.min_cut_calls == per_rank
+        assert stats.successor_calls == steps
+        assert stats.component_ops == plain.ops
+    return plain
 
 
 def traced_walk_peak(part, r1, r2, visitor=None):
@@ -411,6 +441,69 @@ def test_top_e1000_alloc_peak():
     assert peak <= bound, peak
 
 
+# Of each window's successor steps, how many bump chain 2, the ones the walk
+# takes inline: (chain-2 steps, all steps).
+CHAIN_2_STEPS = {
+    "slice-d100": (33_785, 55_364),
+    "top-e1000": (0, 196),
+}
+
+
+@pytest.mark.parametrize("window", sorted(BENCHMARK_WINDOWS))
+def test_benchmark_window_chain_2_traffic(window):
+    """The traffic of the walk's inline chain-2 step on the benchmark's
+    count-only windows, counted on the plain loop, and the walk's cuts and
+    counters checked against that loop.
+
+    The counts depend on the partition and the chain order, so a change to
+    either shows here how it moves this step's share of the walk.
+    """
+    spec, r1, r2, cuts, _, ops = BENCHMARK_WINDOWS[window]
+    part = prepared(generate_random(spec))
+    plain = assert_walk_matches_plain(part, r1, r2)
+    assert len(plain.cuts) == cuts
+    assert plain.ops == ops
+    assert (plain.bumped[2], sum(plain.bumped.values())) == CHAIN_2_STEPS[window]
+
+
+class TestChainTwoStep:
+    """The walk steps chain 2 inline, with one compare and no projection-row
+    write.  These windows make that step carry most of the walk, and the
+    edge cases reach its guards: no chain 2, a full chain 2, an early stop
+    in a run of chain-2 steps."""
+
+    @pytest.mark.parametrize("spec,r", [
+        (GenSpec(10, 100, 0.3, 1), 8),  # slice-d100's trace, 13,133 cuts
+        (GenSpec(10, 30, 0.3, 1), 8),  # predicate-d30's trace, 10,735 cuts
+    ], ids=["d100-rank8", "d30-rank8"])
+    def test_windows_led_by_chain_2(self, spec, r):
+        part = prepared(generate_random(spec))
+        plain = assert_walk_matches_plain(part, r, r)
+        assert 2 * plain.bumped[2] > sum(plain.bumped.values())
+
+    @pytest.mark.parametrize("case,n_u", [("empty", 0), ("n1", 1), ("two-chains", 2)])
+    def test_few_chains(self, case, n_u):
+        """With no chain 2 a rank holds one cut; with two chains every step
+        is the inline one, and a full chain 2 ends the rank."""
+        part = prepared(EDGE_CASES[case]())
+        assert part.n_u == n_u
+        plain = assert_walk_matches_plain(part, 0, part.event_count)
+        assert set(plain.bumped) == ({2} if n_u == 2 else set())
+
+    @pytest.mark.parametrize("spec,r", [
+        (GenSpec(10, 30, 0.3, 1), 5),
+        (GenSpec(10, 100, 0.3, 1), 6),
+    ], ids=["d30-rank5", "d100-rank6"])
+    def test_early_stop_in_a_run_of_chain_2_steps(self, spec, r):
+        """Stop on a visit inside a run of chain-2 steps, two before it and
+        one after it: the cuts and counters stop with the plain loop."""
+        part = prepared(generate_random(spec))
+        steps = plain_successor_walk(part, r, r).steps
+        k = next(k for k in range(1, len(steps) - 1)
+                 if steps[k - 1] == steps[k] == steps[k + 1] == 2)
+        assert_walk_matches_plain(part, r, r, visits=k + 1)
+
+
 def sparse_ids(comp):
     """The same computation with sparse, descending event ids."""
     ids = {eid: 10**9 - 7919 * k for k, eid in enumerate(comp.topo_order)}
@@ -431,6 +524,11 @@ EDGE_CASES = {
         (5, 2, [4]), (6, 4, []), (7, 4, [5]), (8, 1, []),
     ]),
     "sparse-ids": lambda: sparse_ids(random_computation(seed=123, n=3, events=12, p=0.5)),
+    # Messages only flow from process 1 to process 2: two online chains.
+    "two-chains": lambda: make_computation(2, [
+        (1, 1, []), (2, 2, [1]), (3, 1, []), (4, 1, []),
+        (5, 2, []), (6, 2, [4]), (7, 1, []), (8, 2, []),
+    ]),
 }
 
 
@@ -444,6 +542,7 @@ class TestWalkEdgeCases:
             assert part.n_u < comp.n
         seen, stats = collect(part)
         assert [(r, cut) for r, cut, _ in seen] == plain_walk(part)
+        assert_walk_matches_plain(part, 0, part.event_count)
         uniflow_sets: dict[int, set] = {}
         original_sets: dict[int, set] = {}
         for r, cut, original in seen:
