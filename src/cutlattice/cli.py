@@ -94,7 +94,10 @@ def parse_predicate(text: str) -> PredicateSpec:
             if op in ("=", "<="):
                 rank_max = count if rank_max is None else min(rank_max, count)
         else:
-            terms.append((int(m.group(2)), op, count))
+            process = int(m.group(2))
+            if process < 1:
+                raise UsageError(f"predicate process p{process} must be at least p1")
+            terms.append((process, op, count))
     return PredicateSpec(tuple(terms), rank_min, rank_max)
 
 

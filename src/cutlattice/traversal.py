@@ -39,9 +39,11 @@ mutated after it is stored; a step replaces its row with a new list.  The
 event counts are moved only when ``remap()`` is called, on the chains up to
 the highest one any step has bumped since the last call, or on every chain
 after a rank's seed: each event between the counted cut's count of a chain
-and the current one adds or removes one on its process.  The stats report
-both the cut and the integer counts, so tests can assert the space claim
-instead of trusting it.
+and the current one adds or removes one on its process.  A chain whose
+count moved by exactly one event, as chains 1 and 2 do on every inline
+chain-2 step, changes one count by indexing ``process_rows`` directly; a
+larger move walks a slice of it.  The stats report both the cut and the
+integer counts, so tests can assert the space claim instead of trusting it.
 
 A step skips only chains that are full, so it takes exactly the plain
 successor's steps.  A top-up, and a rank's seed, fills chains from the
@@ -74,20 +76,21 @@ over the uniflow chains, and ``remap()`` translates it to the original
 process chains.  A consistent cut is a downset, so the events of each process
 it holds are a prefix of that process's chain, and component ``p`` of the
 original cut is just the number of events of process ``p`` in the cut.
+The ``remap`` handed to a visit is the walk's one remap function bound, as
+a method, to that visit's snapshot.
 During the visit ``remap()`` returns the event counts, moved from the cut of
-the last call to this one; the one-shot :func:`remap` moves them from the
-empty cut.  Both read the partition's ``process_rows``, the process of every
-event laid out chain by chain.  A ``remap`` kept and called after its visit
-has ended falls back to the one-shot :func:`remap` of its own cut, so it
-still returns that cut's image.  Returning ``False`` from the visitor stops
-the traversal early; any other return value continues it.
+the last call to this one; the one-shot :func:`remap` counts each chain's
+prefix from the empty cut.  Both read the partition's ``process_rows``, the
+process of every event laid out chain by chain.  A ``remap`` kept and called
+after its visit has ended falls back to the one-shot :func:`remap` of its own
+cut, so it still returns that cut's image.  Returning ``False`` from the
+visitor stops the traversal early; any other return value continues it.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import compress, count
 from operator import lt
 from typing import Callable, Sequence
@@ -228,39 +231,10 @@ def remap(g_u: Sequence[int], part: UniflowPartition) -> Cut:
 
 def _remap_unchecked(g_u: Sequence[int], part: UniflowPartition) -> Cut:
     counts = [0] * part.source.n
-    _move_counts(counts, [0] * part.n_u, g_u, part.process_rows, part.n_u)
+    for procs, k in zip(part.process_rows, g_u):
+        for p in procs[:k]:
+            counts[p] += 1
     return tuple(counts)
-
-
-def _move_counts(
-    counts: list[int],
-    seen: list[int],
-    cut: Sequence[int],
-    procs: Sequence[Sequence[int]],
-    stop: int,
-) -> int:
-    """Move ``counts``, the events per process of the uniflow cut ``seen``,
-    to those of ``cut``, and ``seen`` to ``cut``.
-
-    Only chains below ``stop`` are compared; the caller knows the chains
-    from ``stop`` up to agree.  Each event between the two counts of a chain
-    adds or removes one on its process.  Returns the number of events moved.
-    """
-    moved = 0
-    for t in range(stop):
-        k = cut[t]
-        s = seen[t]
-        if k > s:
-            for p in procs[t][s:k]:
-                counts[p] += 1
-            moved += k - s
-            seen[t] = k
-        elif k < s:
-            for p in procs[t][k:s]:
-                counts[p] -= 1
-            moved += s - k
-            seen[t] = k
-    return moved
 
 
 def traverse_bfs(part: UniflowPartition, visitor: Visitor | None = None) -> TraversalStats:
@@ -298,12 +272,14 @@ def traverse_rank_range(
     # Built on the first remap(): the events per process of the cut `seen`.
     counts: list[int] | None = None
     seen: list[int] = []
+    # part.process_rows, read on the first remap(): reading it builds it.
     procs: Sequence[Sequence[int]] = ()
     stale = n_u  # chains 1..stale of the cut may differ from seen
     current: Cut | None = None  # the snapshot of the visit in progress
     remap_ops = 0
 
     def remap_visit(snap: Cut) -> Cut:
+        # Bound to the visit's snapshot as a method, so `snap` is its self.
         nonlocal counts, seen, procs, stale, remap_ops
         if snap is not current:
             return _remap_unchecked(snap, part)
@@ -311,10 +287,36 @@ def traverse_rank_range(
             counts = [0] * n
             seen = [0] * n_u
             procs = part.process_rows
-            stale = n_u
-        remap_ops += _move_counts(counts, seen, snap, procs, stale)
+        # Move counts and seen from seen to snap on chains 1..stale.  Each
+        # event between the two counts of a chain adds or removes one on
+        # its process; a one-event move, as every chain-2 step makes on
+        # chains 1 and 2, indexes the chain's processes directly.
+        moved = 0
+        for t in range(stale):
+            k = snap[t]
+            s = seen[t]
+            if k == s:
+                continue
+            seen[t] = k
+            if k == s + 1:
+                counts[procs[t][s]] += 1
+                moved += 1
+            elif k == s - 1:
+                counts[procs[t][k]] -= 1
+                moved += 1
+            elif k > s:
+                for p in procs[t][s:k]:
+                    counts[p] += 1
+                moved += k - s
+            else:
+                for p in procs[t][k:s]:
+                    counts[p] -= 1
+                moved += s - k
+        remap_ops += moved
         stale = 0
         return tuple(counts)
+
+    bind = remap_visit.__get__  # bind(snap) is remap_visit bound to snap
 
     if n_u > 1:
         rows1 = rows[1]  # chain 2's lower clocks, one component each
@@ -340,7 +342,7 @@ def traverse_rank_range(
             visits += 1
             if visitor is not None:
                 current = snap = tuple(g)
-                stop = visitor(snap, r, partial(remap_visit, snap)) is False
+                stop = visitor(snap, r, bind(snap)) is False
                 current = None
                 if stop:
                     stats.early_stopped = True

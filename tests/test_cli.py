@@ -72,6 +72,14 @@ class TestParseHelpers:
         with pytest.raises(UsageError):
             parse_predicate("q1>=2")
 
+    @pytest.mark.parametrize("text", ["p0>=1", "p1>=2 & p00<=1"])
+    def test_predicate_process_zero(self, text):
+        """Processes are numbered from 1.  ``matches`` reads ``cut[p - 1]``,
+        so a ``p0`` term would read the last process: it is rejected when
+        parsed, before any computation is known."""
+        with pytest.raises(UsageError, match="at least p1"):
+            parse_predicate(text)
+
 
 class TestGen:
     def test_deterministic_files(self, tmp_path, capsys):
@@ -161,6 +169,10 @@ class TestTraverse:
 
     def test_predicate_out_of_range_process(self, six_event_path, capsys):
         assert main(["traverse", six_event_path, "--predicate", "p9>=1"]) == 2
+
+    def test_predicate_process_zero_is_usage_error(self, six_event_path, capsys):
+        assert main(["traverse", six_event_path, "--predicate", "p0>=1"]) == 2
+        assert "p0 must be at least p1" in capsys.readouterr().err
 
     def test_bad_rank_spec_is_usage_error(self, six_event_path, capsys):
         assert main(["traverse", six_event_path, "--ranks", "9..2"]) == 2

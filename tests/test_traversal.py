@@ -11,6 +11,7 @@ from collections import Counter
 
 import pytest
 
+from cutlattice.cli import parse_predicate
 from cutlattice.model import UsageError, cut_from_display, is_consistent, make_computation
 from cutlattice.traceio import GenSpec, generate_random
 from cutlattice.traversal import (
@@ -95,6 +96,22 @@ def assert_walk_matches_plain(part, r1, r2, visits=None):
         assert stats.successor_calls == steps
         assert stats.component_ops == plain.ops
     return plain
+
+
+def remap_every(part, r1, r2, every):
+    """Walk ranks ``r1..r2``, calling ``remap()`` on every ``every``-th
+    visit, and check each result against the checked one-shot remap of
+    the same cut.  Returns the cuts ``remap()`` was called on, in order."""
+    called = []
+    visits = itertools.count(1)
+
+    def visitor(cut, r, remap_fn):
+        if next(visits) % every == 0:
+            called.append((cut, remap_fn()))
+
+    traverse_rank_range(part, r1, r2, visitor)
+    assert all(original == remap(cut, part) for cut, original in called)
+    return [cut for cut, _ in called]
 
 
 def traced_walk_peak(part, r1, r2, visitor=None):
@@ -401,6 +418,36 @@ BENCHMARK_WINDOWS = {
 }
 
 
+# predicate-d30's window, which remaps every cut and tests the predicate on
+# it: (spec, r1, r2, predicate, cuts, n_u, matches, walk ops, remap events).
+PREDICATE_WINDOW = (
+    GenSpec(10, 30, 0.3, 1), 0, 11, "p1>=2 & p10<=1", 90_850, 10, 16_497, 311_706, 284_275,
+)
+
+
+def test_benchmark_predicate_window_work_counts():
+    """Exact work of the benchmark's remapping window, with the workload's
+    own visitor: its cuts and matches, the walk's component ops plus one op
+    per event that ``remap()`` moves, and the integer bound of the rows,
+    the event counts and the cut they describe.  No timing."""
+    spec, r1, r2, text, cuts, n_u, hits, walk_ops, moved = PREDICATE_WINDOW
+    comp = generate_random(spec)
+    part = prepared(comp)
+    pred = parse_predicate(text)
+    matches = 0
+
+    def visitor(cut, r, remap_fn):
+        nonlocal matches
+        if pred.matches(remap_fn(), r):
+            matches += 1
+
+    stats = traverse_rank_range(part, r1, r2, visitor)
+    assert (stats.cuts_visited, part.n_u, matches) == (cuts, n_u, hits)
+    assert traverse_rank_range(part, r1, r2).component_ops == walk_ops
+    assert stats.component_ops == walk_ops + moved == 595_981
+    assert stats.aux_int_peak == proj_ints(part) + comp.n + n_u == 65
+
+
 @pytest.mark.parametrize("window", sorted(BENCHMARK_WINDOWS))
 def test_benchmark_window_work_counts(window):
     """Exact work of one of the benchmark's count-only windows: its chain
@@ -477,9 +524,17 @@ class TestChainTwoStep:
         (GenSpec(10, 30, 0.3, 1), 8),  # predicate-d30's trace, 10,735 cuts
     ], ids=["d100-rank8", "d30-rank8"])
     def test_windows_led_by_chain_2(self, spec, r):
+        """The walk takes the plain loop's steps, and ``remap()`` equals the
+        one-shot remap whether it is called on every visit or on every
+        third: both runs move some chain by exactly one event, the inline
+        step's move, and some by more."""
         part = prepared(generate_random(spec))
         plain = assert_walk_matches_plain(part, r, r)
         assert 2 * plain.bumped[2] > sum(plain.bumped.values())
+        for every in (1, 3):
+            cuts = remap_every(part, r, r, every)
+            moves = {abs(a - b) for g, h in zip(cuts, cuts[1:]) for a, b in zip(g, h)}
+            assert 1 in moves and max(moves) > 1
 
     @pytest.mark.parametrize("case,n_u", [("empty", 0), ("n1", 1), ("two-chains", 2)])
     def test_few_chains(self, case, n_u):
