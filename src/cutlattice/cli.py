@@ -67,13 +67,16 @@ class PredicateSpec:
         return True
 
     def validate(self, comp: Computation) -> None:
-        for process, _, count in self.terms:
+        """Reject a term on a process the trace lacks, and an ``=`` or
+        ``>=`` term that no cut can meet; a ``<=`` term above the process's
+        event count holds on every cut and is accepted."""
+        for process, op, count in self.terms:
             if not 1 <= process <= comp.n:
                 raise UsageError(f"predicate process p{process} outside 1..{comp.n}")
-            if count > comp.chain_lengths[process - 1]:
+            events = comp.chain_lengths[process - 1]
+            if op != "<=" and count > events:
                 raise UsageError(
-                    f"predicate count {count} exceeds the {comp.chain_lengths[process - 1]} "
-                    f"events of process {process}"
+                    f"predicate count {count} exceeds the {events} events of process {process}"
                 )
 
 

@@ -20,10 +20,11 @@ of the lattice:
   ``i + 1..n_u``: the row folds the clocks of events that successor steps put
   in place, never of frontiers that only a top-up did, nor of the chain-2
   events that the inline chain-2 step put in place (see below).  A row a
-  step wrote holds exactly ``i`` components; a stale row is the row above
-  itself, one shared object, and is cut short where it is read.  So the rows hold at
-  most ``n_u * (n_u - 1) / 2`` integers of their own, since ``proj[0]`` is
-  never read, and fewer when rows alias;
+  step wrote holds exactly ``i`` components, a list, or for ``proj[2]``,
+  which the inline chain-3 step writes, a 2-tuple; a stale row is the row
+  above itself, one shared object, and is cut short where it is read.  So
+  the rows hold at most ``n_u * (n_u - 1) / 2`` integers of their own,
+  since ``proj[0]`` is never read, and fewer when rows alias;
 - once a visitor has called ``remap()``, the event counts: the number of
   events of each source process in one uniflow cut, ``n`` integers, and
   that cut, ``n_u`` integers.
@@ -35,7 +36,8 @@ the top of the next visit; after a rank's seed that site refreshes every
 row.  The refresh never folds and never copies: one slice assignment points
 every stale projection row at the row above, so neither a chain nor a
 component costs anything there.  Aliasing is sound because no row object is
-mutated after it is stored; a step replaces its row with a new list.  The
+mutated after it is stored; a step replaces its row with a new list or
+tuple.  The
 event counts are moved only when ``remap()`` is called, on the chains up to
 the highest one any step has bumped since the last call, or on every chain
 after a rank's seed: each event between the counted cut's count of a chain
@@ -67,9 +69,27 @@ when there is one, refills chain 1 to ``g[0] - 1``.  Only this step reads
 ``proj[1]``, and it never writes it.  The lower clocks along a chain are
 nondecreasing, so the clock of the event it bumps next covers the clock of
 the one it bumped, and ``max(P, c_k, c_k+1) = max(P, c_k+1)``: folding
-``c_k`` in would change no candidate.  A step above chain 2 rewrites ``proj[1]`` through the refresh.
-The inline step charges the ops the general scan would (one for the
-candidate, one for a top-up), so every counter is the plain successor's.
+``c_k`` in would change no candidate.  A step above chain 2 rewrites
+``proj[1]`` through the refresh.  The inline step charges the ops the
+general scan would (one for the candidate, one for a top-up), so every
+counter is the plain successor's.
+
+Most of the other steps bump chain 3 (14,531 more on ``slice-d100``; with
+chain 2's, 87% of its steps), so the first chain the general scan would
+test is stepped inline too when that chain is chain 3: after the chain-2
+step fails, when chain 2 is full, or when the last top-up reached chain 3.
+Its lower part is two integers, each the max of ``proj[2]`` and the bumped
+event's lower clock ``(c0, c1)``, and the candidate fits iff their sum is
+below ``g[0] + g[1]``.  On success the step stores the lower part as the
+new ``proj[2]``, a 2-tuple that nothing mutates, so rows may alias it; the
+next refresh points ``proj[1]`` at it, where the chain-2 step reads its
+first component.  The top-up fits in chains 1..2, which held ``g[0] +
+g[1]`` events before the step: it fills chain 1 and spills the rest into
+chain 2, or starts at chain 2 when the lower part leaves chain 1 full.  The
+step is the general scan's test of chain 3 in scalar code, with the same
+ops (two for the candidate, one per chain up to the highest one a top-up
+reached, none when chain 3 is full), so every cut and counter is the same;
+if it fails, the general scan starts at chain 4.
 
 A visitor is any callable ``visitor(cut, rank, remap)``.  ``cut`` is a tuple
 over the uniflow chains, and ``remap()`` translates it to the original
@@ -114,9 +134,11 @@ class TraversalStats:
     per-cut cost measurements.  A top-up is charged one op per chain up to
     the highest one it fills, the full chains below its start included, so
     the count does not depend on where the step starts its loops, and a
-    tested candidate one op per component of its lower part, so the inline
+    tested candidate one op per component of its lower part.  So the inline
     chain-2 step charges one op for its candidate, one for its top-up and
-    none when chain 2 is full, as the general scan would; a remap is
+    none when chain 2 is full, and the inline chain-3 step two for its
+    candidate, one or two for its top-up (chain 1, or chains 1 and 2) and
+    none when chain 3 is full, as the general scan would.  A remap is
     charged one op per event it adds or removes.
     ``peak_live_cuts`` / ``aux_int_peak`` are the cut vectors and auxiliary
     integers the walk retains at once.  ``aux_int_peak`` is the size of the
@@ -321,7 +343,11 @@ def traverse_rank_range(
     if n_u > 1:
         rows1 = rows[1]  # chain 2's lower clocks, one component each
         len1 = lengths[1]
-    upper = range(2, n_u)  # the general scan's chains, 3..n_u
+    if n_u > 2:
+        rows2 = rows[2]  # chain 3's lower clocks, two components each
+        len0 = lengths[0]
+        len2 = lengths[2]
+    upper = range(3, n_u)  # the general scan's chains after chain 3, 4..n_u
     cuts = 0
     live = 2 if visitor is None else 3  # cut, candidate lower part, snapshot
     for r in range(r1, r2 + 1):
@@ -363,8 +389,10 @@ def traverse_rank_range(
             # 1..j - 1 full.  A full chain cannot be bumped, so the scan
             # starts at chain j (index j - 1), with the prefix sum of the
             # chains below it.  If j < 3, chain 2 may have room, so the
-            # inline chain-2 step goes first and the scan, if it fails,
-            # starts at chain 3.  After a step with no top-up, j is 0.
+            # inline chain-2 step goes first; if it fails, or if j is 3,
+            # the inline chain-3 step goes next, and the general scan, if
+            # that fails too, starts at chain 4.  After a step with no
+            # top-up, j is 0.
             if j < 3:
                 if n_u < 2:
                     break  # one chain or none: the rank holds one cut
@@ -395,7 +423,49 @@ def traverse_rank_range(
                         if stale < 2:
                             stale = 2
                         continue
-                pre = g0
+            if j < 4:
+                if n_u < 3:
+                    break  # no chain above a full or unbumpable chain 2
+                # The inline chain-3 step (see the module docstring): the
+                # general scan's test of chain 3 in scalar code, with its
+                # ops (2 for the candidate, j for a top-up, none if chain 3
+                # is full).  Its lower part becomes proj[2] as a tuple,
+                # which nothing mutates.  The top-up fits in chains 1..2,
+                # which held pre events.
+                pre = g[0] + g[1]
+                k = g[2]
+                if k < len2:
+                    ops += 2
+                    p = proj[2]
+                    c0, c1 = rows2[k]
+                    l0 = p[0]
+                    if c0 > l0:
+                        l0 = c0
+                    l1 = p[1]
+                    if c1 > l1:
+                        l1 = c1
+                    low = l0 + l1
+                    if low < pre:
+                        proj[2] = (l0, l1)
+                        g[2] = k + 1
+                        d = pre - 1 - low
+                        if not d:
+                            g[0] = l0
+                            g[1] = l1
+                            j = 0
+                        elif d <= len0 - l0:
+                            g[0] = l0 + d
+                            g[1] = l1
+                            j = 1
+                        else:  # chain 1 fills up; the rest goes to chain 2
+                            g[0] = len0
+                            g[1] = l1 + d - (len0 - l0)
+                            j = 2
+                        ops += j
+                        top = 2  # chains 1..3 changed, so row 1 is stale
+                        if stale < 3:
+                            stale = 3
+                        continue
                 scan = upper
             else:
                 pre = sum(g[: j - 2])

@@ -15,9 +15,14 @@ per component of every predecessor, that
 events compared by their original clocks, that the linear
 :func:`cutlattice.uniflow.verify_uniflow` must agree with.
 
+``min_uniflow_chains`` is the exact least chain count of any uniflow
+partition, by a dynamic program over order ideals, that the online
+partitioner's ``n_u`` is checked against.
+
 ``plain_successor_walk`` runs the plain min-cut/successor loop over a rank
-window and records the chain each step bumps and the component ops the
-walk's charging rule gives those steps, so the walk's counters are checked
+window and records the chain each step bumps, the chains each seed or
+top-up fills and the component ops the walk's charging rule gives those
+steps, so the walk's counters are checked
 against a loop that shares none of its shortcuts.
 
 The other helpers build inputs that the online partitioner never makes
@@ -68,6 +73,9 @@ def compute_projections(g: Sequence[int], part: UniflowPartition) -> list[Clock]
 class PlainWalk(NamedTuple):
     cuts: list[tuple[int, Cut]]  # (rank, cut) in visit order
     steps: list[int | None]  # the 1-based chain each cut's step bumped; None for a seed
+    # The lowest and highest 1-based chains that each cut's seed or top-up
+    # added events to; None where it added none.
+    fills: list[tuple[int, int] | None]
     ops: int  # component ops under the walk's charging rule
 
     @property
@@ -80,7 +88,8 @@ def plain_successor_walk(
     part: UniflowPartition, r1: int, r2: int, visits: int | None = None
 ) -> PlainWalk:
     """The plain min-cut/successor loop over ranks ``r1..r2``, with the
-    chain each of its steps bumps and its component ops.
+    chain each of its steps bumps, the chains each seed or top-up fills and
+    the component ops.
 
     ``visits`` stops the loop after that many cuts, as a visitor returning
     ``False`` on that visit stops the walk: no step is taken after it.
@@ -98,23 +107,30 @@ def plain_successor_walk(
     n_u = part.n_u
     cuts: list[tuple[int, Cut]] = []
     steps: list[int | None] = []
+    fills: list[tuple[int, int] | None] = []
     ops = 0
 
-    def reached(before: Sequence[int], after: Sequence[int]) -> int:
-        """One past the highest chain index where the two cuts differ."""
-        return max((t + 1 for t in range(n_u) if after[t] != before[t]), default=0)
+    def filled(before: Sequence[int], after: Sequence[int]) -> tuple[int, int] | None:
+        """The lowest and highest 1-based chains where the two cuts differ."""
+        moved = [t + 1 for t in range(n_u) if after[t] != before[t]]
+        return (moved[0], moved[-1]) if moved else None
+
+    def reached(fill: tuple[int, int] | None) -> int:
+        return fill[1] if fill else 0
 
     for r in range(r1, r2 + 1):
         g: Cut | None = get_min_cut((0,) * n_u, r, part)
-        ops += reached((0,) * n_u, g)
+        fill = filled((0,) * n_u, g)
+        ops += reached(fill)
         chain = None
         while g is not None:
             cuts.append((r, g))
             steps.append(chain)
+            fills.append(fill)
             if len(cuts) == visits:
-                return PlainWalk(cuts, steps, ops)
+                return PlainWalk(cuts, steps, fills, ops)
             nxt = get_successor(g, r, part)
-            b = n_u if nxt is None else reached(nxt, g) - 1  # the bumped index
+            b = n_u if nxt is None else reached(filled(nxt, g)) - 1  # the bumped index
             ops += sum(i for i in range(1, min(b + 1, n_u)) if g[i] < lengths[i])
             if nxt is not None:
                 chain = b + 1
@@ -123,9 +139,60 @@ def plain_successor_walk(
                 # the closure of the frontier events on them.
                 frontier = [rows[c][nxt[c] - 1] for c in range(b, n_u) if nxt[c]]
                 cand = [max((vc[t] for vc in frontier), default=0) for t in range(b)]
-                ops += reached(cand + list(nxt[b:]), nxt)
+                fill = filled(cand + list(nxt[b:]), nxt)
+                ops += reached(fill)
             g = nxt
-    return PlainWalk(cuts, steps, ops)
+    return PlainWalk(cuts, steps, fills, ops)
+
+
+def min_uniflow_chains(comp: Computation) -> int:
+    """The least ``n_u`` of any uniflow partition of ``comp``, by a DP over
+    (order ideal, last event).
+
+    Listing a uniflow partition's chains one after another gives a linear
+    extension of the events in which each chain is a run of events, each
+    happening after the one before it.  Conversely, cutting any linear
+    extension between every two neighbours that are concurrent gives a
+    uniflow partition.  So the least ``n_u`` is one more than the fewest
+    such cuts over all linear extensions: the poset's jump number plus one.
+    The DP goes one rank at a time.  A state is an order ideal, held as a
+    consistent cut of the source computation, and the process of the event
+    placed last, which is that process's frontier event; its value is the
+    fewest cuts of an extension of the ideal that ends with that event.
+    The states are the lattice's cuts times ``n``, so this suits only small
+    computations.
+    """
+    if not comp.event_count:
+        return 0
+    chains = comp.chains
+    vcs = [[comp.events[eid].vc for eid in chain] for chain in chains]
+    n = comp.n
+
+    def placements(cut: Cut):
+        """(ideal with one more event, its process, its clock) for every
+        event that can be placed next."""
+        for q in range(n):
+            k = cut[q]
+            if k < len(chains[q]):
+                grown = cut[:q] + (k + 1,) + cut[q + 1:]
+                vc = vcs[q][k]
+                if all(v <= c for v, c in zip(vc, grown)):
+                    yield grown, q, vc
+
+    level: dict[tuple[Cut, int], int] = {
+        (grown, q): 0 for grown, q, _ in placements((0,) * n)
+    }
+    for _ in range(comp.event_count - 1):
+        nxt: dict[tuple[Cut, int], int] = {}
+        for (cut, p), jumps in level.items():
+            last = vcs[p][cut[p] - 1]
+            for grown, q, vc in placements(cut):
+                value = jumps if happened_before(last, vc) else jumps + 1
+                key = (grown, q)
+                if value < nxt.get(key, value + 1):
+                    nxt[key] = value
+        level = nxt
+    return 1 + min(level.values())
 
 
 def fold_clocks_per_component(

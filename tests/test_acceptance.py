@@ -269,6 +269,7 @@ DESK_WIDEST_RANK, DESK_WIDEST_WIDTH = 44, 1_483_601
 LEVEL_BFS_CAP = 100_000
 
 
+@pytest.mark.slow
 def test_criterion_7_space_claim_at_desk_scale(desk_trace):
     comp, part, _ = desk_trace
     stats = traverse_bfs(part)

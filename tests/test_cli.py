@@ -169,6 +169,22 @@ class TestTraverse:
 
     def test_predicate_out_of_range_process(self, six_event_path, capsys):
         assert main(["traverse", six_event_path, "--predicate", "p9>=1"]) == 2
+        assert "predicate process p9 outside 1..2" in capsys.readouterr().err
+
+    def test_predicate_out_of_range_process_at_most(self, six_event_path, capsys):
+        """A ``<=`` term may exceed the event count, not the process count."""
+        assert main(["traverse", six_event_path, "--predicate", "p9<=1"]) == 2
+        assert "predicate process p9 outside 1..2" in capsys.readouterr().err
+
+    def test_predicate_at_most_above_event_count_holds_everywhere(self, six_event_path, capsys):
+        """Process 1 has 3 events, so ``p1<=5`` holds on every cut: all 12."""
+        assert main(["traverse", six_event_path, "--predicate", "p1<=5"]) == 0
+        assert "cuts=12" in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("op", ["=", ">="])
+    def test_predicate_count_above_event_count_is_usage_error(self, six_event_path, capsys, op):
+        assert main(["traverse", six_event_path, "--predicate", f"p1{op}5"]) == 2
+        assert "predicate count 5 exceeds the 3 events of process 1" in capsys.readouterr().err
 
     def test_predicate_process_zero_is_usage_error(self, six_event_path, capsys):
         assert main(["traverse", six_event_path, "--predicate", "p0>=1"]) == 2

@@ -9,12 +9,14 @@ the downset oracle in ``conftest``, which shares no code with the walk.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutlattice.baselines import traditional_bfs
-from cutlattice.model import Computation, UsageError, make_computation
+from cutlattice.model import Computation, UsageError, happened_before, make_computation
 from cutlattice.traceio import parse_document, serialize_trace
 from cutlattice.traversal import traverse_bfs, traverse_rank_range
 from cutlattice.uniflow import (
@@ -24,7 +26,12 @@ from cutlattice.uniflow import (
 )
 
 from conftest import closure_predecessors, downset_event_sets, event_set_to_cut, oracle_rank_sets
-from reference import partition_from_chains, trivial_partition, verify_uniflow_pairwise
+from reference import (
+    min_uniflow_chains,
+    partition_from_chains,
+    trivial_partition,
+    verify_uniflow_pairwise,
+)
 
 MAX_EVENTS = 14  # keeps the downset oracle cheap: at most 2**14 event sets
 
@@ -126,6 +133,37 @@ def test_lower_clocks_nondecreasing_along_each_chain(comp):
             assert all(len(vc) == i for vc in row)
             for a, b in zip(row, row[1:]):
                 assert all(x <= y for x, y in zip(a, b)), (i, a, b)
+
+
+def least_chains_by_extensions(comp: Computation) -> int:
+    """The least n_u over every linear extension of the events: one more
+    than its fewest neighbours that are concurrent."""
+    events = comp.events
+
+    def extends(order) -> bool:
+        at = {eid: k for k, eid in enumerate(order)}
+        return all(at[d] < at[eid] for eid in order for d in events[eid].deps)
+
+    def jumps(order) -> int:
+        return sum(not happened_before(events[a].vc, events[b].vc)
+                   for a, b in zip(order, order[1:]))
+
+    if not comp.event_count:
+        return 0
+    return 1 + min(jumps(o) for o in itertools.permutations(comp.topo_order) if extends(o))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(computations())
+def test_online_partition_never_below_exact_minimum(comp):
+    """The online partitioner's n_u is never below the exact least n_u of a
+    uniflow partition, the test-only DP of ``min_uniflow_chains``.  On
+    computations of at most 7 events the DP is itself checked against every
+    linear extension."""
+    least = min_uniflow_chains(comp)
+    assert least <= build_uniflow_partition(comp).n_u
+    if comp.event_count <= 7:
+        assert least == least_chains_by_extensions(comp)
 
 
 def walk(part) -> list[tuple[int, tuple, tuple]]:

@@ -491,26 +491,43 @@ def test_top_e1000_alloc_peak():
 # Of each window's successor steps, how many bump chain 2, the ones the walk
 # takes inline: (chain-2 steps, all steps).
 CHAIN_2_STEPS = {
+    "predicate-d30": (47_869, 90_838),
     "slice-d100": (33_785, 55_364),
     "top-e1000": (0, 196),
 }
 
+# How many bump chain 3, the ones the walk takes inline after the chain-2
+# step, and how many start where the last top-up (or the seed) reached
+# chain 3 and left chains 1 and 2 full, so the chain-3 step goes first:
+# (chain-3 steps, entries at chain 3).
+CHAIN_3_STEPS = {
+    "predicate-d30": (24_392, 447),
+    "slice-d100": (14_531, 0),
+    "top-e1000": (0, 0),
+}
 
-@pytest.mark.parametrize("window", sorted(BENCHMARK_WINDOWS))
+
+@pytest.mark.parametrize("window", sorted(CHAIN_2_STEPS))
 def test_benchmark_window_chain_2_traffic(window):
-    """The traffic of the walk's inline chain-2 step on the benchmark's
-    count-only windows, counted on the plain loop, and the walk's cuts and
-    counters checked against that loop.
+    """The traffic of the walk's inline chain-2 and chain-3 steps on the
+    benchmark's windows, counted on the plain loop, and the walk's cuts and
+    counters checked against that loop; ``predicate-d30`` is walked with no
+    remap.
 
     The counts depend on the partition and the chain order, so a change to
-    either shows here how it moves this step's share of the walk.
+    either shows here how it moves these steps' share of the walk.
     """
-    spec, r1, r2, cuts, _, ops = BENCHMARK_WINDOWS[window]
+    if window == "predicate-d30":
+        spec, r1, r2, _, cuts, _, _, ops, _ = PREDICATE_WINDOW
+    else:
+        spec, r1, r2, cuts, _, ops = BENCHMARK_WINDOWS[window]
     part = prepared(generate_random(spec))
     plain = assert_walk_matches_plain(part, r1, r2)
     assert len(plain.cuts) == cuts
     assert plain.ops == ops
     assert (plain.bumped[2], sum(plain.bumped.values())) == CHAIN_2_STEPS[window]
+    entries = sum(1 for fill in plain.fills if fill and fill[1] == 3)
+    assert (plain.bumped[3], entries) == CHAIN_3_STEPS[window]
 
 
 class TestChainTwoStep:
@@ -536,14 +553,18 @@ class TestChainTwoStep:
             moves = {abs(a - b) for g, h in zip(cuts, cuts[1:]) for a, b in zip(g, h)}
             assert 1 in moves and max(moves) > 1
 
-    @pytest.mark.parametrize("case,n_u", [("empty", 0), ("n1", 1), ("two-chains", 2)])
+    @pytest.mark.parametrize("case,n_u", [
+        ("empty", 0), ("n1", 1), ("two-chains", 2), ("three-chains", 3),
+    ])
     def test_few_chains(self, case, n_u):
         """With no chain 2 a rank holds one cut; with two chains every step
-        is the inline one, and a full chain 2 ends the rank."""
+        is the inline chain-2 one, and a full chain 2 ends the rank; with
+        three every step is one of the two inline steps, and a chain 2 and
+        3 that cannot be bumped end the rank."""
         part = prepared(EDGE_CASES[case]())
         assert part.n_u == n_u
         plain = assert_walk_matches_plain(part, 0, part.event_count)
-        assert set(plain.bumped) == ({2} if n_u == 2 else set())
+        assert set(plain.bumped) == set(range(2, n_u + 1))
 
     @pytest.mark.parametrize("spec,r", [
         (GenSpec(10, 30, 0.3, 1), 5),
@@ -557,6 +578,39 @@ class TestChainTwoStep:
         k = next(k for k in range(1, len(steps) - 1)
                  if steps[k - 1] == steps[k] == steps[k + 1] == 2)
         assert_walk_matches_plain(part, r, r, visits=k + 1)
+
+
+class TestChainThreeStep:
+    """The walk steps chain 3 inline after the chain-2 step, with two
+    max-compares and one compare of sums, and tops up chains 1 and 2 inline.
+    These small traces (online n_u = 5) take runs of chain-3 steps and reach
+    every branch of that top-up."""
+
+    @pytest.mark.parametrize("seed", [31, 36])
+    def test_top_ups_and_entries(self, seed):
+        """The chain-3 steps take no top-up, one that stays in chain 1, one
+        that fills chain 1 and spills into chain 2, and one that starts at
+        chain 2 because the new lower part leaves chain 1 full; some steps
+        start at chain 3 because the last top-up reached it.  The walk
+        takes the plain loop's steps, and ``remap()`` equals the one-shot
+        remap whether it is called on every visit or on every third."""
+        part = prepared(random_computation(seed, 4, 18, 0.3))
+        plain = assert_walk_matches_plain(part, 0, part.event_count)
+        fills = Counter(fill for step, fill in zip(plain.steps, plain.fills) if step == 3)
+        assert set(fills) == {None, (1, 1), (1, 2), (2, 2)}
+        assert any(fill and fill[1] == 3 for fill in plain.fills)
+        for every in (1, 3):
+            remap_every(part, 0, part.event_count, every)
+
+    @pytest.mark.parametrize("seed", [31, 36])
+    def test_early_stop_in_a_run_of_chain_3_steps(self, seed):
+        """Stop on a visit inside a run of chain-3 steps, two before it and
+        one after it: the cuts and counters stop with the plain loop."""
+        part = prepared(random_computation(seed, 4, 18, 0.3))
+        steps = plain_successor_walk(part, 0, part.event_count).steps
+        k = next(k for k in range(1, len(steps) - 1)
+                 if steps[k - 1] == steps[k] == steps[k + 1] == 3)
+        assert_walk_matches_plain(part, 0, part.event_count, visits=k + 1)
 
 
 def sparse_ids(comp):
@@ -583,6 +637,12 @@ EDGE_CASES = {
     "two-chains": lambda: make_computation(2, [
         (1, 1, []), (2, 2, [1]), (3, 1, []), (4, 1, []),
         (5, 2, []), (6, 2, [4]), (7, 1, []), (8, 2, []),
+    ]),
+    # Messages only flow from process 1 to 2 and from 2 to 3: three online
+    # chains.
+    "three-chains": lambda: make_computation(3, [
+        (1, 1, []), (2, 2, [1]), (3, 1, []), (4, 3, [2]), (5, 1, []),
+        (6, 2, [5]), (7, 3, []), (8, 2, []), (9, 3, [8]), (10, 1, []),
     ]),
 }
 

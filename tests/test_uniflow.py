@@ -35,6 +35,7 @@ from conftest import (
     random_computation,
 )
 from reference import (
+    min_uniflow_chains,
     partition_from_chains,
     trivial_partition,
     uniflow_fill,
@@ -152,6 +153,17 @@ class TestNetOutflowOrder:
         part = build_uniflow_partition(generate_random(spec))
         assert part.n_u == n_u
         assert verify_uniflow(part)
+
+    @pytest.mark.parametrize("spec,n_u,least", [
+        (GenSpec(4, 40, 0.5, 6), 11, 7),
+        (GenSpec(8, 28, 0.6, 7), 10, 8),
+    ])
+    def test_dense_traces_above_exact_minimum(self, spec, n_u, least):
+        """On dense traces the online partitioner is not optimal: the exact
+        least chain count of a uniflow partition is below its n_u."""
+        comp = generate_random(spec)
+        assert build_uniflow_partition(comp).n_u == n_u
+        assert min_uniflow_chains(comp) == least
 
 
 class TestBuildUniflowPartition:
