@@ -54,5 +54,5 @@ traverse_bfs(
     or True,
 )
 
-full = part.full_cut()
+full = part.chain_lengths
 print(f"\nremap of the full cut {format_cut(full)} -> {format_cut(remap(full, part))}")

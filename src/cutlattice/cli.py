@@ -68,8 +68,9 @@ class PredicateSpec:
 
     def validate(self, comp: Computation) -> None:
         """Reject a term on a process the trace lacks, and an ``=`` or
-        ``>=`` term that no cut can meet; a ``<=`` term above the process's
-        event count holds on every cut and is accepted."""
+        ``>=`` term that no cut can meet: on a process, a count above its
+        events; on ``rank``, a count above the trace's events.  A ``<=``
+        term above that count holds on every cut and is accepted."""
         for process, op, count in self.terms:
             if not 1 <= process <= comp.n:
                 raise UsageError(f"predicate process p{process} outside 1..{comp.n}")
@@ -78,6 +79,10 @@ class PredicateSpec:
                 raise UsageError(
                     f"predicate count {count} exceeds the {events} events of process {process}"
                 )
+        if self.rank_min is not None and self.rank_min > comp.event_count:
+            raise UsageError(
+                f"predicate rank {self.rank_min} exceeds the {comp.event_count} events of the trace"
+            )
 
 
 def parse_predicate(text: str) -> PredicateSpec:
@@ -148,35 +153,12 @@ class RunReport:
 
 REPORT_FIELDS = [f.name for f in fields(RunReport)]
 
-_INT_FIELDS = {"n", "events", "n_u", "cuts", "first_match_rank", "peak_stored_cuts", "aux_int_peak"}
-_FLOAT_FIELDS = {"partition_s", "traverse_s"}
-
 
 def report_to_row(report: RunReport) -> list[str]:
-    row = []
-    for name in REPORT_FIELDS:
-        value = getattr(report, name)
-        if value is None:
-            row.append("")
-        elif name in _FLOAT_FIELDS:
-            row.append(repr(value))
-        else:
-            row.append(str(value))
-    return row
-
-
-def report_from_row(row: list[str]) -> RunReport:
-    kwargs = {}
-    for name, cell in zip(REPORT_FIELDS, row):
-        if cell == "" and name not in _FLOAT_FIELDS:
-            kwargs[name] = None
-        elif name in _INT_FIELDS:
-            kwargs[name] = int(cell)
-        elif name in _FLOAT_FIELDS:
-            kwargs[name] = float(cell)
-        else:
-            kwargs[name] = cell
-    return RunReport(**kwargs)
+    """The report's CSV cells: ``None`` as an empty cell, anything else as
+    ``str``, which writes a float as its ``repr``."""
+    values = (getattr(report, name) for name in REPORT_FIELDS)
+    return ["" if value is None else str(value) for value in values]
 
 
 def write_reports_csv(reports, stream) -> None:
@@ -184,14 +166,6 @@ def write_reports_csv(reports, stream) -> None:
     writer.writerow(REPORT_FIELDS)
     for report in reports:
         writer.writerow(report_to_row(report))
-
-
-def read_reports_csv(stream) -> list[RunReport]:
-    reader = csv.reader(stream)
-    header = next(reader)
-    if header != REPORT_FIELDS:
-        raise UsageError(f"unexpected CSV header {header!r}")
-    return [report_from_row(row) for row in reader]
 
 
 def _load_trace(path: str) -> tuple[str, Computation]:

@@ -1,110 +1,53 @@
 """Rank-by-rank traversal of the consistent-cut lattice in constant cut storage.
 
-Works over a uniflow partition with regenerated vector clocks.  The walk
-reads only what the partition stores of them, the lower clocks: for an event
-on chain ``i + 1``, the ``i`` components on the chains below it.  For each
-rank the walk starts at the lexically smallest consistent cut of that rank
-and repeatedly steps to the lexical successor at the same rank, so the whole
-lattice (or any rank slice) is enumerated without ever storing a level.
+The walk runs over a uniflow partition with regenerated lower clocks.  Each
+rank starts at its lexically smallest consistent cut and steps to the
+lexical successor at the same rank until there is none, so the lattice, or
+any rank slice, is enumerated without storing a level.
 
-:func:`traverse_rank_range` holds a fixed set of buffers, whatever the size
-of the lattice:
+The invariants :func:`traverse_rank_range` relies on, stated once here:
 
-- the current cut, one mutable list of ``n_u`` counts that each successor
-  step rewrites in place, and the lower part of the candidate the step is
-  testing, built from the bumped event's lower clock;
-- with a visitor, the tuple snapshot of the current cut handed to it;
-- the projection rows: a step that bumps chain ``i + 1`` reads only the
-  first ``i`` components of ``proj[i]``, and those are at most the
-  componentwise max of the uniflow clocks of the frontier events on chains
-  ``i + 1..n_u``: the row folds the clocks of events that successor steps put
-  in place, never of frontiers that only a top-up did, nor of the chain-2
-  events that the inline chain-2 step put in place (see below).  A row a
-  step wrote holds exactly ``i`` components, a list, or for ``proj[2]``,
-  which the inline chain-3 step writes, a 2-tuple; a stale row is the row
-  above itself, one shared object, and is cut short where it is read.  So
-  the rows hold at most ``n_u * (n_u - 1) / 2`` integers of their own,
-  since ``proj[0]`` is never read, and fewer when rows alias;
-- once a visitor has called ``remap()``, the event counts: the number of
-  events of each source process in one uniflow cut, ``n`` integers, and
-  that cut, ``n_u`` integers.
-
-A step that bumps chain ``i`` changes the cut on chains ``1..i`` only, so
-every projection row above ``i`` stays valid.  The step rewrites the
-projection row it read, and the rows below that are refreshed at one site,
-the top of the next visit; after a rank's seed that site refreshes every
-row.  The refresh never folds and never copies: one slice assignment points
-every stale projection row at the row above, so neither a chain nor a
-component costs anything there.  Aliasing is sound because no row object is
-mutated after it is stored; a step replaces its row with a new list or
-tuple.  The
-event counts are moved only when ``remap()`` is called, on the chains up to
-the highest one any step has bumped since the last call, or on every chain
-after a rank's seed: each event between the counted cut's count of a chain
-and the current one adds or removes one on its process.  A chain whose
-count moved by exactly one event, as chains 1 and 2 do on every inline
-chain-2 step, changes one count by indexing ``process_rows`` directly; a
-larger move walks a slice of it.  The stats report both the cut and the
-integer counts, so tests can assert the space claim instead of trusting it.
-
-A step skips only chains that are full, so it takes exactly the plain
-successor's steps.  A top-up, and a rank's seed, fills chains from the
-bottom and leaves every chain below the highest one it reached full.  A full
-chain cannot be bumped, so the next step's candidate scan starts at that
-highest chain, or at chain 2 if it is lower; after a step with no top-up it
-starts at chain 2.  The top-up itself starts at the lowest chain of the new
-lower part that has room, since the full chains below it would take
-nothing; nearly always that is chain 1.  The component-op counter still
-charges a top-up for every chain from chain 1 to the highest one it
-reached, as the plain top-up visits them, so the counts match the
-reference.
-
-On low-``n_u`` windows most steps bump chain 2 (33,785 of the 55,364 on
-the ``slice-d100`` benchmark window), so the walk steps chain 2 inline,
-before the general scan, whenever chain 2 can have room.  Its lower part
-is one integer, so the candidate is one compare,
-``max(proj[1][0], c) < g[0]`` for the bumped event's lower clock ``(c,)``,
-and on success chain 1 loses one event and chain 2 gains one: the top-up,
-when there is one, refills chain 1 to ``g[0] - 1``.  Only this step reads
-``proj[1]``, and it never writes it.  The lower clocks along a chain are
-nondecreasing, so the clock of the event it bumps next covers the clock of
-the one it bumped, and ``max(P, c_k, c_k+1) = max(P, c_k+1)``: folding
-``c_k`` in would change no candidate.  A step above chain 2 rewrites
-``proj[1]`` through the refresh.  The inline step charges the ops the
-general scan would (one for the candidate, one for a top-up), so every
-counter is the plain successor's.
-
-Most of the other steps bump chain 3 (14,531 more on ``slice-d100``; with
-chain 2's, 87% of its steps), so the first chain the general scan would
-test is stepped inline too when that chain is chain 3: after the chain-2
-step fails, when chain 2 is full, or when the last top-up reached chain 3.
-Its lower part is two integers, each the max of ``proj[2]`` and the bumped
-event's lower clock ``(c0, c1)``, and the candidate fits iff their sum is
-below ``g[0] + g[1]``.  On success the step stores the lower part as the
-new ``proj[2]``, a 2-tuple that nothing mutates, so rows may alias it; the
-next refresh points ``proj[1]`` at it, where the chain-2 step reads its
-first component.  The top-up fits in chains 1..2, which held ``g[0] +
-g[1]`` events before the step: it fills chain 1 and spills the rest into
-chain 2, or starts at chain 2 when the lower part leaves chain 1 full.  The
-step is the general scan's test of chain 3 in scalar code, with the same
-ops (two for the candidate, one per chain up to the highest one a top-up
-reached, none when chain 3 is full), so every cut and counter is the same;
-if it fails, the general scan starts at chain 4.
+- **Projection rows.**  A step that bumps chain ``i + 1`` takes as the new
+  lower part the componentwise max of the bumped event's lower clock and
+  the first ``i`` components of ``proj[i]``, and, but for the chain-2
+  step (below), stores it as the new ``proj[i]``.  Those components cover the lower clocks of the frontiers
+  that steps put on chains ``i + 1..n_u``.  They may miss a frontier that a
+  top-up, or a rank's seed, put on a chain up to the highest one it
+  reached, and no step needs it: the chains below that one are full,
+  bumping that one adds an event that covers the old frontier, and bumping
+  a higher chain replaces it.
+- **Rows may alias.**  A step that bumps chain ``i + 1`` changes chains
+  ``1..i + 1`` only, so the rows above ``i`` stay valid.  The refresh at the
+  top of the next visit points each stale row below at the row above, one
+  shared object, with no fold and no copy.  No row is mutated once stored,
+  and a step reads only the first ``i`` components of ``proj[i]``, so
+  sharing is sound, and the rows hold at most ``n_u * (n_u - 1) / 2`` ints
+  of their own (``proj[0]`` is never read).
+- **``proj[1]`` is never written by a step.**  Only the inline chain-2 step
+  reads it.  Lower clocks are nondecreasing along a chain, so the event
+  chain 2 bumps next covers the one it bumped: ``max(P, c_k, c_k+1) =
+  max(P, c_k+1)``.  The refresh rewrites it after a step above chain 2.
+- **A step skips only full chains,** so it takes the steps of the plain
+  :func:`get_successor`.  A top-up, like a rank's seed, fills chains from
+  the bottom and leaves every chain below the highest one it reached, chain
+  ``j``, full.  The next candidate scan starts at chain ``j``, or at chain 2
+  if that is lower.  A top-up starts at the lowest chain with room.
+- **Inline steps.**  The scan tests chain 2 in scalar code (one compare; a
+  success moves one event from chain 1 to chain 2), then chain 3 (two
+  max-compares and a compare of sums; a success stores ``proj[2]`` as a
+  2-tuple and tops up chain 1, then chain 2), then hands over to the
+  general scan at chain 4.
+- **``remap()`` moves counts.**  The walk keeps the event counts of
+  :func:`remap` for the cut of the last call, and moves them on the chains
+  up to the highest one bumped since then (every chain after a rank's
+  seed), by the events between the two cuts on each chain: a one-event move
+  by one index into ``part.process_rows``, a larger one by a slice.
 
 A visitor is any callable ``visitor(cut, rank, remap)``.  ``cut`` is a tuple
-over the uniflow chains, and ``remap()`` translates it to the original
-process chains.  A consistent cut is a downset, so the events of each process
-it holds are a prefix of that process's chain, and component ``p`` of the
-original cut is just the number of events of process ``p`` in the cut.
-The ``remap`` handed to a visit is the walk's one remap function bound, as
-a method, to that visit's snapshot.
-During the visit ``remap()`` returns the event counts, moved from the cut of
-the last call to this one; the one-shot :func:`remap` counts each chain's
-prefix from the empty cut.  Both read the partition's ``process_rows``, the
-process of every event laid out chain by chain.  A ``remap`` kept and called
-after its visit has ended falls back to the one-shot :func:`remap` of its own
-cut, so it still returns that cut's image.  Returning ``False`` from the
-visitor stops the traversal early; any other return value continues it.
+over the uniflow chains.  ``remap`` is the walk's one remap function bound,
+as a method, to the visit's snapshot, and returns its original cut; called
+after its visit, it counts its own cut from scratch, as :func:`remap` does.
+Returning ``False`` stops the walk; any other value continues it.
 """
 
 from __future__ import annotations
@@ -129,23 +72,21 @@ class TraversalStats:
     ``per_rank``, ``min_cut_calls`` and ``successor_calls`` are keyed by
     rank, which is how rank-slice isolation is asserted; a rank takes one
     successor step per visit, one fewer when the visitor stopped the walk
-    there.  ``component_ops`` counts the walk's inner-loop vector-component
-    operations (candidate tests, top-ups and remap events) and backs the
-    per-cut cost measurements.  A top-up is charged one op per chain up to
-    the highest one it fills, the full chains below its start included, so
-    the count does not depend on where the step starts its loops, and a
-    tested candidate one op per component of its lower part.  So the inline
-    chain-2 step charges one op for its candidate, one for its top-up and
-    none when chain 2 is full, and the inline chain-3 step two for its
-    candidate, one or two for its top-up (chain 1, or chains 1 and 2) and
-    none when chain 3 is full, as the general scan would.  A remap is
-    charged one op per event it adds or removes.
+    there.
+
+    ``component_ops`` counts the walk's inner-loop vector-component
+    operations.  Every step path, inline or not, charges by one rule, so the
+    count is the plain successor loop's: a tested candidate costs one op per
+    component of its lower part (a full chain is not tested), a top-up one
+    per chain from chain 1 to the highest one it fills, the full chains
+    below its start included, and a remap one per event it adds or removes.
+
     ``peak_live_cuts`` / ``aux_int_peak`` are the cut vectors and auxiliary
-    integers the walk retains at once.  ``aux_int_peak`` is the size of the
-    triangular projection rows, ``n_u * (n_u - 1) / 2``, plus ``n + n_u``
-    once the event counts exist: an upper bound on the integers the rows
-    hold, which aliased rows can only lower, and exactly the counts and the
-    cut they describe.
+    integers the walk retains at once: the cut, the candidate's lower part
+    and, with a visitor, its snapshot; the triangular projection rows,
+    ``n_u * (n_u - 1) / 2``, an upper bound that aliased rows only lower;
+    and ``n + n_u`` once ``remap()`` has built the event counts and the cut
+    they count.
     """
 
     cuts_visited: int = 0
@@ -161,14 +102,11 @@ class TraversalStats:
 
 def _fill_to_rank(buf: list[int], d: int, lengths: Sequence[int], j: int = 0) -> int:
     """Add ``d`` events bottom-up from ``buf[j]``, taking as much of each
-    chain as fits.
+    chain as fits; return one past the index of the last chain visited.
 
-    The chains from index ``j`` up must have room for ``d`` more events.  A
-    caller that starts above index 0 must know ``buf[:j]`` to be full, so
-    the result is the one a top-up from index 0 gives.  Returns one past the
-    index of the last chain visited; the component-op counters charge that
-    many chains, as if the top-up had started at index 0.  Every chain below
-    the last one visited is full afterwards.
+    The chains from index ``j`` up must have room for ``d`` more events, and
+    ``buf[:j]`` must be full, so the result is a top-up's from index 0.
+    Every chain below the last one visited is full afterwards.
     """
     while d:
         cap = lengths[j] - buf[j]
@@ -260,11 +198,7 @@ def _remap_unchecked(g_u: Sequence[int], part: UniflowPartition) -> Cut:
 
 
 def traverse_bfs(part: UniflowPartition, visitor: Visitor | None = None) -> TraversalStats:
-    """Visit every consistent cut once, in rank-major lexical-minor order.
-
-    Starts at the empty cut and walks each rank's lexical chain from its
-    minimum.
-    """
+    """Visit every consistent cut once, in rank-major lexical-minor order."""
     return traverse_rank_range(part, 0, part.event_count, visitor)
 
 
@@ -309,10 +243,7 @@ def traverse_rank_range(
             counts = [0] * n
             seen = [0] * n_u
             procs = part.process_rows
-        # Move counts and seen from seen to snap on chains 1..stale.  Each
-        # event between the two counts of a chain adds or removes one on
-        # its process; a one-event move, as every chain-2 step makes on
-        # chains 1 and 2, indexes the chain's processes directly.
+        # Move counts and seen to snap on chains 1..stale (module docstring).
         moved = 0
         for t in range(stale):
             k = snap[t]
@@ -357,12 +288,7 @@ def traverse_rank_range(
         stale = n_u
         visits = 0
         while True:
-            # Refresh the stale projection rows; row 0 is never read.  A
-            # stale row is the row above, with no fold: the only frontiers a
-            # fold would add are on chains a top-up reached, and no step
-            # reads them (see the step below).  The rows alias that one row
-            # object, which is safe because no row is mutated once stored;
-            # a step reads only the first i components of proj[i].
+            # Point the stale rows at the row above (module docstring).
             if top > 1:
                 proj[1:top] = [proj[top]] * (top - 1)
             visits += 1
@@ -373,36 +299,15 @@ def traverse_rank_range(
                 if stop:
                     stats.early_stopped = True
                     break
-            # Step to the lexical successor in place, trying chains upward
-            # from the lowest one not known to be full.  Bumping chain i + 1
-            # makes the new lower part the componentwise max of the bumped
-            # event's clock and proj[i]: the causal closure of every retained
-            # frontier event.
-            # proj[i] misses only frontiers that a top-up (or the seed) put
-            # on chains up to the highest one it reached, and no step needs
-            # them: the chains below that one are full and cannot be bumped,
-            # bumping that one adds an event that covers its old frontier, and
-            # bumping a higher chain rewrites them all.
-            # The bump adds one event, so the candidate's rank fits iff its
-            # lower part holds fewer events than g[:i], a running prefix sum.
-            # The last top-up (or the seed) reached chain j and left chains
-            # 1..j - 1 full.  A full chain cannot be bumped, so the scan
-            # starts at chain j (index j - 1), with the prefix sum of the
-            # chains below it.  If j < 3, chain 2 may have room, so the
-            # inline chain-2 step goes first; if it fails, or if j is 3,
-            # the inline chain-3 step goes next, and the general scan, if
-            # that fails too, starts at chain 4.  After a step with no
-            # top-up, j is 0.
+            # Step to the lexical successor in place, from chain j, or from
+            # chain 2 if j is lower (module docstring).  The bump adds one
+            # event, so a candidate's rank fits iff its lower part holds
+            # fewer events than g[:i], the running prefix sum `pre`.
             if j < 3:
                 if n_u < 2:
                     break  # one chain or none: the rank holds one cut
-                # The inline chain-2 step (see the module docstring): one
-                # compare, and on success chain 1 loses one event whether
-                # or not the top-up refills it.  It charges what the general
-                # scan would: 1 op for the candidate, 1 for a top-up, none
-                # if chain 2 is full.  Only this step reads proj[1], and it
-                # never writes it: lower clocks grow along a chain, so
-                # max(P, c_k, c_k+1) = max(P, c_k+1).
+                # The inline chain-2 step; it never writes proj[1].  Chain 1
+                # ends at g0 - 1, topped up from low when low is below that.
                 g0 = g[0]
                 k = g[1]
                 if k < len1:
@@ -426,11 +331,7 @@ def traverse_rank_range(
             if j < 4:
                 if n_u < 3:
                     break  # no chain above a full or unbumpable chain 2
-                # The inline chain-3 step (see the module docstring): the
-                # general scan's test of chain 3 in scalar code, with its
-                # ops (2 for the candidate, j for a top-up, none if chain 3
-                # is full).  Its lower part becomes proj[2] as a tuple,
-                # which nothing mutates.  The top-up fits in chains 1..2,
+                # The inline chain-3 step.  Its top-up fits in chains 1..2,
                 # which held pre events.
                 pre = g[0] + g[1]
                 k = g[2]
@@ -483,16 +384,11 @@ def traverse_rank_range(
                     if low < pre:
                         g[:i] = lower
                         g[i] = ki + 1
-                        # The bumped event's clock covers the old frontier's
-                        # on its chain, so the lower part before the top-up
-                        # is the new proj[i].
                         proj[i] = lower
                         if low + 1 < pre:
-                            # Top up from the lowest chain of the lower part
-                            # with room; the full chains below it would take
-                            # nothing.  Chains 1..i held pre events before the
-                            # step, so the top-up fits in them and that chain
-                            # exists.  Nearly always it is chain 1.
+                            # Chains 1..i held pre events before the step, so
+                            # the top-up fits in them and a chain with room
+                            # exists.
                             t = 0 if lower[0] < lengths[0] else next(
                                 compress(count(), map(lt, lower, lengths)))
                             j = _fill_to_rank(g, pre - 1 - low, lengths, t)

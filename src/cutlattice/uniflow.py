@@ -40,7 +40,6 @@ from typing import Mapping
 from .model import (
     Clock,
     Computation,
-    Cut,
     Event,
     UsageError,
 )
@@ -108,9 +107,6 @@ class UniflowPartition:
         k = self.chains[c - 1].index(eid) + 1
         return self.clock_rows[c - 1][k - 1] + (k,) + (0,) * (self.n_u - c)
 
-    def full_cut(self) -> Cut:
-        return self.chain_lengths
-
 
 def net_outflow_order(events: Mapping[int, Event]) -> tuple[int, ...]:
     """The processes that own events, by net outflow, highest first.
@@ -145,7 +141,6 @@ class PartitionerState:
     start: dict[int, int] = field(init=False)
     chains: dict[int, list[int]] = field(default_factory=dict)
     chain_of: dict[int, int] = field(default_factory=dict)
-    last_event_of: dict[int, int] = field(default_factory=dict)
     maxid: int = 0
 
     def __post_init__(self) -> None:
@@ -182,8 +177,14 @@ def find_uniflow_chain(event: Event, state: PartitionerState) -> int:
             )
         if placed > uid:
             uid = placed
-    if uid in state.chains:
-        last = state.events[state.last_event_of[uid]]
+    chain = state.chains.get(uid)
+    if chain is None:
+        cid = uid
+        state.chains[uid] = [event.id]
+        if uid > state.maxid:
+            state.maxid = uid
+    else:
+        last = state.events[chain[-1]]
         q = last.process - 1
         if last.vc[q] > event.vc[q]:
             state.maxid += 1
@@ -191,14 +192,8 @@ def find_uniflow_chain(event: Event, state: PartitionerState) -> int:
             state.chains[cid] = [event.id]
         else:
             cid = uid
-            state.chains[uid].append(event.id)
-    else:
-        cid = uid
-        state.chains[uid] = [event.id]
-        if uid > state.maxid:
-            state.maxid = uid
+            chain.append(event.id)
     state.chain_of[event.id] = cid
-    state.last_event_of[cid] = event.id
     return cid
 
 

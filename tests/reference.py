@@ -8,8 +8,9 @@ reads, and a stale row aliases the row above, so the walk's rows are checked
 against these only up to the prefix the walk reads.
 
 ``fold_clocks_per_component`` is the plain vector-clock fold, one compare
-per component of every predecessor, that
-:func:`cutlattice.model.fold_clocks` must match exactly.
+per component of every predecessor, that the clocks of
+:func:`cutlattice.model.make_computation` and the lower clocks of
+:func:`cutlattice.uniflow.regenerate_vector_clocks` must match exactly.
 
 ``verify_uniflow_pairwise`` is the quadratic uniflow check, every pair of
 events compared by their original clocks, that the linear
@@ -202,7 +203,7 @@ def fold_clocks_per_component(
 
     Every event starts from zeros and takes the max of each component of
     each predecessor in turn; component ``chain`` is then set to
-    ``position``.  Same contract as :func:`cutlattice.model.fold_clocks`.
+    ``position``.  Steps must list every predecessor first.
     """
     clocks: dict[int, list[int]] = {}
     for eid, preds, chain, position in steps:

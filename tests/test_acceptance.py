@@ -287,7 +287,8 @@ def test_criterion_7_space_claim_at_desk_scale(desk_trace):
     _report(
         7,
         f"full traversal of all {stats.cuts_visited:,} cuts (ranks 0..{comp.event_count}) "
-        f"in {stats.elapsed_s:.0f}s ({stats.cuts_visited / stats.elapsed_s:,.0f} cuts/s), "
+        f"in {stats.elapsed_s:.0f}s ({stats.cuts_visited / stats.elapsed_s:,.0f} cuts/s, "
+        f"{stats.component_ops:,} component ops), "
         f"retaining {stats.peak_live_cuts} cuts and {stats.aux_int_peak} aux ints "
         f"(n_u={part.n_u}); level BFS exceeded its {LEVEL_BFS_CAP:,}-cut cap "
         f"(max level width {tstats.max_level_width:,})",

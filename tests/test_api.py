@@ -1,6 +1,6 @@
-"""The public API: the demos run, every name their callers import from the
-package top level is exported there, and every name the demos and the
-benchmark import from a submodule exists in it."""
+"""The public API: the demos run, the package top level exports exactly the
+names its callers import from it plus the exception types, and every name
+the demos and the benchmark import from a submodule exists in it."""
 
 from __future__ import annotations
 
@@ -59,6 +59,24 @@ def test_caller_imports_are_exported(caller):
     used = {name for module, name in package_imports(caller) if module == "cutlattice"}
     assert used, f"{caller.name} imports nothing from cutlattice"
     assert used <= set(cutlattice.__all__), used - set(cutlattice.__all__)
+
+
+def test_exports_are_imported_by_a_caller():
+    """The reverse of the test above: a top-level name no caller imports,
+    other than an exception type, is imported from its submodule instead."""
+    used = {
+        name
+        for caller in CALLERS
+        for module, name in package_imports(caller)
+        if module == "cutlattice"
+    }
+    exported = {name: getattr(cutlattice, name) for name in cutlattice.__all__}
+    unused = {
+        name
+        for name, obj in exported.items()
+        if name not in used and not (isinstance(obj, type) and issubclass(obj, Exception))
+    }
+    assert not unused, unused
 
 
 def test_submodule_imports_resolve():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import io
 
 import pytest
@@ -9,11 +10,13 @@ import pytest
 from cutlattice import cli
 from cutlattice.baselines import brute_force_downsets
 from cutlattice.cli import (
+    REPORT_FIELDS,
     PredicateSpec,
+    RunReport,
     main,
     parse_predicate,
     parse_rank_spec,
-    read_reports_csv,
+    write_reports_csv,
 )
 from cutlattice.model import UsageError
 from cutlattice.traceio import GenSpec, generate_random, serialize_trace
@@ -21,6 +24,15 @@ from cutlattice.uniflow import build_uniflow_partition
 
 SIX_EVENT = "n=2\n1 1\n2 1\n3 1\n4 2\n5 2 2\n6 2\n"
 CROSSING = "n=2\n1 1\n2 2\n3 2 1\n4 1 2\n"
+
+
+def read_csv(path) -> list[dict[str, str]]:
+    """The rows of a ``bench --csv`` file, after checking its header."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert reader.fieldnames == REPORT_FIELDS
+    return rows
 
 
 @pytest.fixture
@@ -186,6 +198,24 @@ class TestTraverse:
         assert main(["traverse", six_event_path, "--predicate", f"p1{op}5"]) == 2
         assert "predicate count 5 exceeds the 3 events of process 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("op", ["=", ">="])
+    def test_predicate_rank_above_event_count_is_usage_error(self, six_event_path, capsys, op):
+        """A rank term follows the process rule: ``=`` or ``>=`` above the
+        trace's 6 events matches no cut, so it exits 2 before any run."""
+        assert main(["traverse", six_event_path, "--predicate", f"rank{op}7"]) == 2
+        captured = capsys.readouterr()
+        assert "predicate rank 7 exceeds the 6 events of the trace" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("text,cuts", [("rank<=7", 12), ("rank>=6", 1), ("rank=6", 1)])
+    def test_predicate_rank_within_event_count_is_accepted(
+        self, six_event_path, capsys, text, cuts
+    ):
+        """``rank<=7`` holds on all 12 cuts; ``>=`` and ``=`` at the event
+        count meet the full cut only."""
+        assert main(["traverse", six_event_path, "--predicate", text]) == 0
+        assert f"cuts={cuts}" in capsys.readouterr().out.splitlines()
+
     def test_predicate_process_zero_is_usage_error(self, six_event_path, capsys):
         assert main(["traverse", six_event_path, "--predicate", "p0>=1"]) == 2
         assert "p0 must be at least p1" in capsys.readouterr().err
@@ -279,17 +309,34 @@ class TestBench:
         ]) == 0
         out = capsys.readouterr().out
         assert "trace" in out and "uniflow" in out
-        with open(csv_path, encoding="utf-8") as fh:
-            reports = read_reports_csv(fh)
-        assert len(reports) == 3 * 2 * 2
-        with io.StringIO() as buf:
-            from cutlattice.cli import write_reports_csv
+        rows = read_csv(csv_path)
+        assert len(rows) == 3 * 2 * 2
+        for row in rows:
+            for name in ("partition_s", "traverse_s"):
+                assert repr(float(row[name])) == row[name]
+        full = [r for r in rows if r["ranks"] == "all" and r["algorithm"] == "uniflow"]
+        assert [r["cuts"] for r in full] == ["12", "12"]
+        assert {r["n_u"] for r in rows if r["algorithm"] != "uniflow"} == {""}
 
-            write_reports_csv(reports, buf)
+    def test_csv_cells(self):
+        """``None`` is an empty cell and a float is written as its ``repr``."""
+        report = RunReport(
+            algorithm="traditional", trace="t", n=2, events=6, n_u=None, ranks="1..3",
+            cuts=7, first_match_rank=None, first_match_cut=None, partition_s=0.0,
+            traverse_s=1 / 3, peak_stored_cuts=4, aux_int_peak=None, status="ok", error=None,
+        )
+        with io.StringIO() as buf:
+            write_reports_csv([report], buf)
             buf.seek(0)
-            assert read_reports_csv(buf) == reports
-        full = [r for r in reports if r.ranks == "all" and r.algorithm == "uniflow"]
-        assert all(r.cuts == 12 for r in full)
+            reader = csv.DictReader(buf)
+            rows = list(reader)
+        assert reader.fieldnames == REPORT_FIELDS
+        assert rows == [{
+            "algorithm": "traditional", "trace": "t", "n": "2", "events": "6", "n_u": "",
+            "ranks": "1..3", "cuts": "7", "first_match_rank": "", "first_match_cut": "",
+            "partition_s": "0.0", "traverse_s": repr(1 / 3), "peak_stored_cuts": "4",
+            "aux_int_peak": "", "status": "ok", "error": "",
+        }]
 
     def test_resource_failure_recorded_not_fatal(self, tmp_path, capsys):
         comp = generate_random(GenSpec(n=6, total_events=24, message_probability=0.0, seed=3))
@@ -300,9 +347,7 @@ class TestBench:
             "bench", str(path), "--algos", "traditional,uniflow",
             "--max-stored", "5", "--csv", str(csv_path),
         ]) == 0
-        with open(csv_path, encoding="utf-8") as fh:
-            reports = read_reports_csv(fh)
-        statuses = {r.algorithm: r.status for r in reports}
+        statuses = {r["algorithm"]: r["status"] for r in read_csv(csv_path)}
         assert statuses["traditional"] == "resource-error"
         assert statuses["uniflow"] == "ok"
 
@@ -312,14 +357,13 @@ class TestBench:
             "bench", t28_path, "--algos", "uniflow,brute,traditional",
             "--csv", str(csv_path),
         ]) == 0
-        with open(csv_path, encoding="utf-8") as fh:
-            reports = {r.algorithm: r for r in read_reports_csv(fh)}
-        assert reports["brute"].status == "error"
-        assert reports["brute"].error == (
+        reports = {r["algorithm"]: r for r in read_csv(csv_path)}
+        assert reports["brute"]["status"] == "error"
+        assert reports["brute"]["error"] == (
             "brute-force enumeration guarded to 25 events; got 28"
         )
-        assert reports["uniflow"].status == reports["traditional"].status == "ok"
-        assert reports["uniflow"].cuts == reports["traditional"].cuts
+        assert reports["uniflow"]["status"] == reports["traditional"]["status"] == "ok"
+        assert reports["uniflow"]["cuts"] == reports["traditional"]["cuts"]
 
     def test_unknown_algorithm_is_usage_error(self, six_event_path, capsys):
         assert main(["bench", six_event_path, "--algos", "uniflow,dfs"]) == 2

@@ -12,7 +12,6 @@ from cutlattice.model import (
     UsageError,
     concurrent,
     cut_from_display,
-    fold_clocks,
     format_cut,
     happened_before,
     is_consistent,
@@ -95,11 +94,11 @@ class TestComputeVectorClocks:
 
     @pytest.mark.parametrize("seed,events", [(1, 1000), (6, 100)], ids=["top-e1000", "desk"])
     def test_fold_matches_per_component_reference(self, seed, events):
-        """The copy-then-merge fold gives exactly the slow fold's tuples, for
-        the original clocks and for the uniflow clocks.  Regeneration stores
-        only the components of each uniflow clock below the event's own
-        chain: the slow fold's own component is the event's position there,
-        and every higher one is 0."""
+        """``make_computation``'s clocks and regeneration's lower clocks are
+        exactly the slow fold's tuples.  Regeneration stores only the
+        components of each uniflow clock below the event's own chain: the
+        slow fold's own component is the event's position there, and every
+        higher one is 0."""
         comp = random_computation(seed, n=10, events=events, p=0.3)
         part = regenerate_vector_clocks(build_uniflow_partition(comp))
         evs = comp.events
@@ -114,11 +113,8 @@ class TestComputeVectorClocks:
                 uniflow.append((eid, preds, ci, k + 1))
         arrival = {eid: i for i, eid in enumerate(comp.topo_order)}
         uniflow.sort(key=lambda step: arrival[step[0]])
-        for steps, width in ((original, comp.n), (uniflow, part.n_u)):
-            folded = fold_clocks(steps, width)
-            assert folded == fold_clocks_per_component(steps, width)
-            assert all(type(vc) is tuple for vc in folded.values())
         expected = fold_clocks_per_component(original, comp.n)
+        assert all(type(evs[eid].vc) is tuple for eid in comp.topo_order)
         assert {eid: evs[eid].vc for eid in comp.topo_order} == expected
         expected = fold_clocks_per_component(uniflow, part.n_u)
         for eid, _, ci, k in uniflow:

@@ -170,7 +170,7 @@ class TestGetSuccessor:
 
     def test_full_cut_has_no_successor(self, three_chain):
         part = identity_partition(three_chain)
-        assert get_successor(part.full_cut(), 9, part) is None
+        assert get_successor(part.chain_lengths, 9, part) is None
 
     def test_matches_oracle_chain(self, three_chain):
         part = identity_partition(three_chain)

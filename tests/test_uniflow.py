@@ -439,4 +439,4 @@ class TestOriginalEvents:
         for seed in (62, 63):
             comp = random_computation(seed, n=4, events=16, p=0.4)
             part = regenerate_vector_clocks(build_uniflow_partition(comp))
-            assert remap(part.full_cut(), part) == comp.full_cut()
+            assert remap(part.chain_lengths, part) == comp.chain_lengths
