@@ -18,7 +18,6 @@ from cutlattice import (
     regenerate_vector_clocks,
     remap,
     traverse_bfs,
-    verify_uniflow,
 )
 
 # P1 runs a, b; P2 runs e, f; a sends to f, e sends to b.
@@ -39,7 +38,7 @@ for eid in comp.topo_order:
     print(f"  event {eid} -> uniflow chain {chain}")
 
 part = regenerate_vector_clocks(build_uniflow_partition(comp))
-print(f"\nn_u = {part.n_u} chains; uniflow property holds: {verify_uniflow(part)}")
+print(f"\nn_u = {part.n_u} chains; clock regeneration accepted them as uniflow")
 print("regenerated clocks:")
 for ci, chain in enumerate(part.chains, start=1):
     for eid in chain:

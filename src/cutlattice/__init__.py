@@ -23,7 +23,6 @@ from .uniflow import (
     build_uniflow_partition,
     find_uniflow_chain,
     regenerate_vector_clocks,
-    verify_uniflow,
 )
 from .traversal import (
     get_min_cut,
@@ -66,5 +65,4 @@ __all__ = [
     "traditional_bfs",
     "traverse_bfs",
     "traverse_rank_range",
-    "verify_uniflow",
 ]

@@ -198,11 +198,6 @@ def is_consistent(cut: Sequence[int], source) -> bool:
     return True
 
 
-def cut_from_display(values: Sequence[int]) -> Cut:
-    """Convert a ``[c_n, ..., c_1]`` rendering into internal chain order."""
-    return tuple(reversed(tuple(values)))
-
-
 def format_cut(cut: Sequence[int]) -> str:
     """Render a cut with the highest chain leftmost, per the display convention."""
     return "[" + ",".join(str(c) for c in reversed(tuple(cut))) + "]"

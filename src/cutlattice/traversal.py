@@ -46,13 +46,12 @@ The invariants :func:`traverse_rank_range` relies on, stated once here:
 A visitor is any callable ``visitor(cut, rank, remap)``.  ``cut`` is a tuple
 over the uniflow chains.  ``remap`` is the walk's one remap function bound,
 as a method, to the visit's snapshot, and returns its original cut; called
-after its visit, it counts its own cut from scratch, as :func:`remap` does.
+after its visit, it hands its own cut to :func:`remap`.
 Returning ``False`` stops the walk; any other value continues it.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from itertools import compress, count
 from operator import lt
@@ -97,7 +96,6 @@ class TraversalStats:
     peak_live_cuts: int = 0
     aux_int_peak: int = 0
     early_stopped: bool = False
-    elapsed_s: float = 0.0
 
 
 def _fill_to_rank(buf: list[int], d: int, lengths: Sequence[int], j: int = 0) -> int:
@@ -186,10 +184,6 @@ def remap(g_u: Sequence[int], part: UniflowPartition) -> Cut:
     """
     if not is_consistent(g_u, part):
         raise UsageError(f"cut {tuple(g_u)} is not consistent in this partition")
-    return _remap_unchecked(g_u, part)
-
-
-def _remap_unchecked(g_u: Sequence[int], part: UniflowPartition) -> Cut:
     counts = [0] * part.source.n
     for procs, k in zip(part.process_rows, g_u):
         for p in procs[:k]:
@@ -214,11 +208,8 @@ def traverse_rank_range(
         raise UsageError(
             f"rank range {r1}..{r2} invalid for a computation of {part.event_count} events"
         )
-    if part.uvc is None:
-        raise UsageError("partition has no uniflow vector clocks; regenerate them first")
     stats = TraversalStats()
-    start = time.perf_counter()
-    rows = part.clock_rows
+    rows = part.clock_rows  # raises UsageError if the clocks are not regenerated
     lengths = part.chain_lengths
     n_u = part.n_u
     n = part.source.n
@@ -238,7 +229,7 @@ def traverse_rank_range(
         # Bound to the visit's snapshot as a method, so `snap` is its self.
         nonlocal counts, seen, procs, stale, remap_ops
         if snap is not current:
-            return _remap_unchecked(snap, part)
+            return remap(snap, part)
         if counts is None:
             counts = [0] * n
             seen = [0] * n_u
@@ -414,5 +405,4 @@ def traverse_rank_range(
         if stats.early_stopped:
             break
     stats.cuts_visited = cuts
-    stats.elapsed_s = time.perf_counter() - start
     return stats

@@ -25,10 +25,11 @@ original cut; that is how both remaps translate a uniflow cut back.
 uniflow chains, of which it stores only the *lower clock*: the components on
 the chains below the event's own.  That is all the walk reads, and on a
 uniflow partition the rest is fixed (the event's position, then zeros).
-Regeneration therefore requires a uniflow partition.
-
-:func:`verify_uniflow` checks the property in time linear in the events and
-their direct dependencies.
+Regeneration is also the one check of the property, in time linear in the
+events and their direct dependencies: each chain must be causally ordered,
+every event after the one below it, and no direct dependency may sit on a
+higher chain.  Causality is the transitive closure of the direct
+dependencies, so every causal path then only goes upward.
 """
 
 from __future__ import annotations
@@ -226,10 +227,14 @@ def regenerate_vector_clocks(part: UniflowPartition) -> UniflowPartition:
     position on its chain, and every higher one is 0, since no dependency
     sits on a higher chain.
 
-    The partition must be uniflow: every direct dependency of an event sits
-    on a lower chain or earlier on its own.  A dependency on a higher chain,
-    or later on the event's own chain, raises :class:`UsageError` naming the
-    event and both chains.
+    The partition must be uniflow, and this is where that is checked.  Each
+    event must happen after the event below it on its chain, by the O(1)
+    Fidge-Mattern test of :func:`find_uniflow_chain`: ``below.vc[q] <=
+    ev.vc[q]`` with ``q = below.process - 1``, and ``ev`` not ``below``
+    itself.  No direct dependency may sit on a higher chain.  A failure of
+    either raises :class:`UsageError` naming both events and their chains.
+    A dependency later on the event's own chain needs no test of its own:
+    it leaves some pair on that chain out of order.
 
     The clocks are built chain by chain, bottom to top, which lists every
     predecessor first.  An event with no dependency on a lower chain has the
@@ -244,9 +249,18 @@ def regenerate_vector_clocks(part: UniflowPartition) -> UniflowPartition:
     position: dict[int, int] = {}  # filled as the chains are walked
     for c, chain in enumerate(part.chains, start=1):
         low: Clock | None = None  # the lower clock of the event below
+        below: Event | None = None
         for k, eid in enumerate(chain, start=1):
+            ev = events[eid]
+            if below is not None:
+                q = below.process - 1
+                if below is ev or below.vc[q] > ev.vc[q]:
+                    raise UsageError(
+                        f"event {eid} on chain {c} does not happen after event {below.id} "
+                        "below it; the partition is not uniflow"
+                    )
             acc: list[int] | None = None
-            for d in events[eid].deps:
+            for d in ev.deps:
                 t = chain_of[d]
                 if t < c:
                     if acc is None:
@@ -255,11 +269,10 @@ def regenerate_vector_clocks(part: UniflowPartition) -> UniflowPartition:
                     p = position[d]
                     if p > acc[t - 1]:
                         acc[t - 1] = p
-                elif t > c or d not in position:
-                    where = "a higher chain" if t > c else "later on the same chain"
+                elif t > c:
                     raise UsageError(
                         f"event {eid} on chain {c} depends on event {d} on chain {t}, "
-                        f"{where}; the partition is not uniflow"
+                        "a higher chain; the partition is not uniflow"
                     )
             if acc is not None:
                 low = tuple(acc)
@@ -267,40 +280,7 @@ def regenerate_vector_clocks(part: UniflowPartition) -> UniflowPartition:
                 low = (0,) * (c - 1)
             uvc[eid] = low
             position[eid] = k
+            below = ev
     return UniflowPartition(
         source=part.source, chains=part.chains, chain_of=part.chain_of, uvc=uvc
     )
-
-
-def verify_uniflow(part: UniflowPartition) -> bool:
-    """Check the uniflow property against the original clocks.
-
-    True iff every chain is totally ordered by causality and no event on a
-    higher chain happened-before an event on a lower chain.  Two checks
-    suffice, each O(1) per event or per dependency:
-
-    - consecutive events on a chain are ordered, by the Fidge-Mattern test:
-      a distinct event ``a`` precedes ``b`` iff ``b``'s clock counts ``a`` on
-      ``a``'s own process, ``a.vc[q] <= b.vc[q]`` with
-      ``q = a.process - 1``;
-    - every direct dependency of an event sits on its own chain or a lower
-      one.
-
-    Causality is the transitive closure of the direct dependencies, so every
-    causal path then only goes upward, and no higher event precedes a lower
-    one.
-    """
-    events = part.source.events
-    for chain in part.chains:
-        for a, b in zip(chain, chain[1:]):
-            ea = events[a]
-            q = ea.process - 1
-            if a == b or ea.vc[q] > events[b].vc[q]:
-                return False
-    chain_of = part.chain_of
-    for eid, ev in events.items():
-        c = chain_of[eid]
-        for d in ev.deps:
-            if chain_of[d] > c:
-                return False
-    return True

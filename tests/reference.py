@@ -13,8 +13,8 @@ per component of every predecessor, that the clocks of
 :func:`cutlattice.uniflow.regenerate_vector_clocks` must match exactly.
 
 ``verify_uniflow_pairwise`` is the quadratic uniflow check, every pair of
-events compared by their original clocks, that the linear
-:func:`cutlattice.uniflow.verify_uniflow` must agree with.
+events compared by their original clocks, that the linear check in
+:func:`cutlattice.uniflow.regenerate_vector_clocks` must agree with.
 
 ``min_uniflow_chains`` is the exact least chain count of any uniflow
 partition, by a dynamic program over order ideals, that the online
@@ -28,7 +28,9 @@ against a loop that shares none of its shortcuts.
 
 The other helpers build inputs that the online partitioner never makes
 (explicit chains, the one-event-per-chain partition), state the fill lemma
-the walk's top-up relies on, and parse a trace straight into a computation.
+the walk's top-up relies on, parse a trace straight into a computation,
+and read a cut written in the display order of
+:func:`cutlattice.model.format_cut`.
 """
 
 from __future__ import annotations
@@ -247,8 +249,8 @@ def partition_from_chains(
 ) -> UniflowPartition:
     """Wrap explicitly given chains as a partition (clocks not yet filled).
 
-    The chains must partition the event set exactly; no uniflow property is
-    assumed or checked here (that is ``verify_uniflow``'s job).
+    The chains must partition the event set exactly.  No uniflow property is
+    assumed or checked here: :func:`regenerate_vector_clocks` checks it.
     """
     flat = [eid for chain in chains for eid in chain]
     if len(flat) != comp.event_count or set(flat) != set(comp.events):
@@ -306,3 +308,8 @@ def parse_trace(data: bytes | str) -> Computation:
     """
     doc = parse_document(data)
     return make_computation(doc.n, doc.records)
+
+
+def cut_from_display(values: Sequence[int]) -> Cut:
+    """Convert a ``[c_n, ..., c_1]`` rendering into internal chain order."""
+    return tuple(reversed(tuple(values)))

@@ -27,7 +27,6 @@ from cutlattice.baselines import brute_force_downsets, traditional_bfs
 from cutlattice.model import (
     Computation,
     ResourceLimitError,
-    cut_from_display,
     is_consistent,
     make_computation,
 )
@@ -46,7 +45,7 @@ from cutlattice.uniflow import (
 )
 
 from conftest import closure_predecessors, identity_partition
-from reference import compute_projections, trivial_partition, uniflow_fill
+from reference import compute_projections, cut_from_display, trivial_partition, uniflow_fill
 
 
 def dv(*values):
@@ -272,7 +271,9 @@ LEVEL_BFS_CAP = 100_000
 @pytest.mark.slow
 def test_criterion_7_space_claim_at_desk_scale(desk_trace):
     comp, part, _ = desk_trace
+    start = time.perf_counter()
     stats = traverse_bfs(part)
+    elapsed = time.perf_counter() - start
     assert not stats.early_stopped
     assert stats.cuts_visited == DESK_LATTICE_CUTS
     assert set(stats.per_rank) == set(range(comp.event_count + 1))
@@ -287,7 +288,7 @@ def test_criterion_7_space_claim_at_desk_scale(desk_trace):
     _report(
         7,
         f"full traversal of all {stats.cuts_visited:,} cuts (ranks 0..{comp.event_count}) "
-        f"in {stats.elapsed_s:.0f}s ({stats.cuts_visited / stats.elapsed_s:,.0f} cuts/s, "
+        f"in {elapsed:.0f}s ({stats.cuts_visited / elapsed:,.0f} cuts/s, "
         f"{stats.component_ops:,} component ops), "
         f"retaining {stats.peak_live_cuts} cuts and {stats.aux_int_peak} aux ints "
         f"(n_u={part.n_u}); level BFS exceeded its {LEVEL_BFS_CAP:,}-cut cap "

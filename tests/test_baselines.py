@@ -9,13 +9,13 @@ from cutlattice.baselines import brute_force_downsets, traditional_bfs
 from cutlattice.model import (
     ResourceLimitError,
     UsageError,
-    cut_from_display,
     make_computation,
 )
 from cutlattice.traversal import traverse_bfs
 from cutlattice.uniflow import build_uniflow_partition, regenerate_vector_clocks
 
 from conftest import oracle_rank_sets, random_computation
+from reference import cut_from_display
 
 
 def dv(*values):

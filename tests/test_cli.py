@@ -22,8 +22,12 @@ from cutlattice.model import UsageError
 from cutlattice.traceio import GenSpec, generate_random, serialize_trace
 from cutlattice.uniflow import build_uniflow_partition
 
+from reference import partition_from_chains
+
 SIX_EVENT = "n=2\n1 1\n2 1\n3 1\n4 2\n5 2 2\n6 2\n"
 CROSSING = "n=2\n1 1\n2 2\n3 2 1\n4 1 2\n"
+# Events 1 and 2 are concurrent; event 3 follows both.
+FORK_JOIN = "n=2\n1 1\n2 2\n3 1 2\n"
 
 
 def read_csv(path) -> list[dict[str, str]]:
@@ -422,3 +426,28 @@ def test_predicate_spec_rank_bounds():
     assert not spec.matches((0,), 1)
     assert spec.matches((0,), 3)
     assert not spec.matches((0,), 5)
+
+
+class TestNotUniflow:
+    """A partitioner fault is a usage error, exit 2, in every subcommand that
+    partitions, whether a chain holds two concurrent events or an event
+    depends on a higher chain."""
+
+    @pytest.mark.parametrize("trace,chains,named", [
+        (FORK_JOIN, lambda comp: [comp.topo_order],
+         "event 2 on chain 1 does not happen after event 1 below it"),
+        (CROSSING, lambda comp: comp.chains,
+         "event 4 on chain 1 depends on event 2 on chain 2, a higher chain"),
+    ], ids=["concurrent-on-one-chain", "higher-chain-dependency"])
+    @pytest.mark.parametrize("command", ["traverse", "partition", "verify"])
+    def test_exit_2(self, tmp_path, capsys, monkeypatch, trace, chains, named, command):
+        path = tmp_path / "t.trace"
+        path.write_text(trace)
+        monkeypatch.setattr(
+            cli, "build_uniflow_partition", lambda comp: partition_from_chains(comp, chains(comp))
+        )
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert named in captured.err
+        assert "not uniflow" in captured.err
+        assert "uniflow=ok" not in captured.out

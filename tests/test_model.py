@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from cutlattice.model import (
     UsageError,
     concurrent,
-    cut_from_display,
     format_cut,
     happened_before,
     is_consistent,
@@ -24,7 +23,7 @@ from conftest import (
     oracle_vector_clock,
     random_computation,
 )
-from reference import fold_clocks_per_component
+from reference import cut_from_display, fold_clocks_per_component
 
 
 def dv(*values):

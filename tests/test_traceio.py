@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutlattice.baselines import brute_force_downsets, traditional_bfs
-from cutlattice.model import UsageError, cut_from_display
+from cutlattice.model import UsageError
 from cutlattice.traceio import (
     GenSpec,
     TraceError,
@@ -19,7 +19,7 @@ from cutlattice.traceio import (
 from cutlattice.traversal import traverse_bfs
 from cutlattice.uniflow import build_uniflow_partition, regenerate_vector_clocks
 
-from reference import parse_trace
+from reference import cut_from_display, parse_trace
 
 SIX_EVENT_TRACE = """\
 # trace-format: 1

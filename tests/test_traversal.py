@@ -12,7 +12,7 @@ from collections import Counter
 import pytest
 
 from cutlattice.cli import parse_predicate
-from cutlattice.model import UsageError, cut_from_display, is_consistent, make_computation
+from cutlattice.model import UsageError, is_consistent, make_computation
 from cutlattice.traceio import GenSpec, generate_random
 from cutlattice.traversal import (
     get_min_cut,
@@ -30,7 +30,12 @@ from conftest import (
     oracle_rank_sets,
     random_computation,
 )
-from reference import compute_projections, plain_successor_walk, trivial_partition
+from reference import (
+    compute_projections,
+    cut_from_display,
+    plain_successor_walk,
+    trivial_partition,
+)
 
 
 def dv(*values):
@@ -694,6 +699,8 @@ class TestTraverseRankRange:
             traverse_rank_range(part, 4, 2)
         with pytest.raises(UsageError):
             traverse_rank_range(part, 0, 7)
+        with pytest.raises(UsageError, match="no uniflow vector clocks"):
+            traverse_rank_range(build_uniflow_partition(six_event), 0, 6)
 
     def test_rank_slice_isolation(self):
         comp = random_computation(seed=96, n=3, events=16, p=0.3)

@@ -12,7 +12,6 @@ import pytest
 from cutlattice.model import (
     Computation,
     UsageError,
-    cut_from_display,
     is_consistent,
     make_computation,
 )
@@ -20,11 +19,11 @@ from cutlattice.traceio import GenSpec, generate_random
 from cutlattice.traversal import remap
 from cutlattice.uniflow import (
     PartitionerState,
+    UniflowPartition,
     build_uniflow_partition,
     find_uniflow_chain,
     net_outflow_order,
     regenerate_vector_clocks,
-    verify_uniflow,
 )
 
 from conftest import (
@@ -35,6 +34,7 @@ from conftest import (
     random_computation,
 )
 from reference import (
+    cut_from_display,
     min_uniflow_chains,
     partition_from_chains,
     trivial_partition,
@@ -98,7 +98,7 @@ class TestFindUniflowChain:
                 [(eid, comp.events[eid].process, comp.events[eid].deps) for eid in order],
             )
             part = build_uniflow_partition(shuffled)
-            assert verify_uniflow(part)
+            assert checked_uniflow(part)
             assert eq1_holds_by_closure(part)
 
 
@@ -117,7 +117,7 @@ class TestNetOutflowOrder:
         assert net_outflow_order(comp.events) == (2, 1)
         part = build_uniflow_partition(comp)
         assert part.chains == ((1, 3, 5), (2, 4, 6))
-        assert verify_uniflow(part)
+        assert checked_uniflow(part)
 
     def test_fewer_chains_than_identity_labelling(self):
         # Started at the process id, the first receive joins the sender's
@@ -152,7 +152,7 @@ class TestNetOutflowOrder:
         # With each event started at its process id these were 13, 25 and 28.
         part = build_uniflow_partition(generate_random(spec))
         assert part.n_u == n_u
-        assert verify_uniflow(part)
+        assert checked_uniflow(part)
 
     @pytest.mark.parametrize("spec,n_u,least", [
         (GenSpec(4, 40, 0.5, 6), 11, 7),
@@ -177,11 +177,11 @@ class TestBuildUniflowPartition:
         comp = make_computation(k, [(i, i, []) for i in range(1, k + 1)])
         part = build_uniflow_partition(comp)
         assert part.n_u == k
-        assert verify_uniflow(part)
+        assert checked_uniflow(part)
 
     def test_six_event_partition_preserves_cut_count(self, six_event):
         part = regenerate_vector_clocks(build_uniflow_partition(six_event))
-        assert verify_uniflow(part)
+        assert checked_uniflow(part)
         ranges = [range(m + 1) for m in part.chain_lengths]
         count = sum(1 for cut in itertools.product(*ranges) if is_consistent(cut, part))
         assert count == len(downset_event_sets(six_event)) == 12
@@ -193,7 +193,7 @@ class TestBuildUniflowPartition:
         part = build_uniflow_partition(comp)
         assert part.n_u == 2
         assert part.chains == ((2,), (1,))
-        assert verify_uniflow(part)
+        assert checked_uniflow(part)
 
     def test_nu_never_exceeds_event_count(self):
         for seed in range(8):
@@ -270,20 +270,32 @@ class TestRegenerateVectorClocks:
             regenerate_vector_clocks(partition_from_chains(downward_msg, downward_msg.chains))
 
     def test_later_event_on_own_chain_rejected(self, downward_msg):
-        # event 5 sits below event 4 on its chain, but event 4 is its predecessor
+        # event 5 sits below event 4 on its chain, but event 4 is its
+        # predecessor, so the chain is out of causal order
         part = partition_from_chains(downward_msg, [(1, 2), (3, 5, 4, 6)])
-        with pytest.raises(UsageError, match=r"event 5 on chain 2 depends on event 4 on chain 2, later on the same chain"):
+        with pytest.raises(UsageError, match=r"event 4 on chain 2 does not happen after event 5 below it"):
             regenerate_vector_clocks(part)
 
 
+
 def checked_uniflow(part) -> bool:
-    """``verify_uniflow``'s verdict, asserted equal to the pairwise oracle's."""
-    verdict = verify_uniflow(part)
+    """Whether clock regeneration accepts the partition, asserted equal to
+    the pairwise oracle's verdict."""
+    try:
+        regenerate_vector_clocks(part)
+    except UsageError as exc:
+        assert "not uniflow" in str(exc)
+        verdict = False
+    else:
+        verdict = True
     assert verdict == verify_uniflow_pairwise(part), part.chains
     return verdict
 
 
 class TestVerifyUniflow:
+    """The uniflow check that clock regeneration makes, against the
+    pairwise oracle and the closure check."""
+
     def test_upward_two_chain_partition(self, six_event):
         assert checked_uniflow(identity_partition(six_event)) is True
 
@@ -302,9 +314,14 @@ class TestVerifyUniflow:
         assert checked_uniflow(part) is True
 
     def test_unordered_chains_rejected(self, six_event):
-        # a chain out of causal order, and one holding two concurrent events
+        # a chain out of causal order, one holding two concurrent events, and
+        # one repeating an event, which does not happen after itself
         assert checked_uniflow(partition_from_chains(six_event, [(2, 1, 3), (4, 5, 6)])) is False
         assert checked_uniflow(partition_from_chains(six_event, [(1, 2, 3, 4), (5, 6)])) is False
+        chains = ((1, 1, 2, 3), (4, 5, 6))
+        chain_of = {eid: ci for ci, chain in enumerate(chains, start=1) for eid in chain}
+        repeated = UniflowPartition(source=six_event, chains=chains, chain_of=chain_of)
+        assert checked_uniflow(repeated) is False
 
     def test_swapped_chains_rejected(self, three_chain):
         # the lowest chain sends upward, so moving it to the top breaks the property
@@ -332,7 +349,7 @@ class TestTrivialPartition:
         part = trivial_partition(six_event)
         assert part.n_u == 6
         assert all(len(c) == 1 for c in part.chains)
-        assert verify_uniflow(part)
+        assert checked_uniflow(part)
 
     def test_empty_computation(self):
         comp = make_computation(2, [])
@@ -342,7 +359,7 @@ class TestTrivialPartition:
         for seed in (31, 32, 33):
             comp = random_computation(seed, n=4, events=20, p=0.3)
             part = trivial_partition(comp)
-            assert verify_uniflow(part)
+            assert checked_uniflow(part)
             assert eq1_holds_by_closure(part)
 
 
@@ -403,7 +420,7 @@ class TestCutCountInvariance:
     def test_per_rank_counts_match_original(self, seed, n, events, p):
         comp = random_computation(seed, n, events, p)
         part = regenerate_vector_clocks(build_uniflow_partition(comp))
-        assert verify_uniflow(part)
+        assert checked_uniflow(part)
         original: dict[int, set] = {}
         repartitioned: dict[int, set] = {}
         for members in downset_event_sets(comp):
