@@ -30,7 +30,7 @@ comp = make_computation(
 print("event clocks (highest chain printed leftmost):")
 for eid in comp.topo_order:
     ev = comp.events[eid]
-    print(f"  event {eid} = P{ev.process}#{ev.index_on_process}  clock {format_cut(ev.vc)}")
+    print(f"  event {eid} = P{ev.process}#{ev.vc[ev.process - 1]}  clock {format_cut(ev.vc)}")
 
 b, f, e, a = comp.events[2], comp.events[5], comp.events[4], comp.events[1]
 print(f"\nb -> f (message):        {happened_before(b.vc, f.vc)}")

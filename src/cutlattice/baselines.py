@@ -12,9 +12,8 @@ else is checked against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
-from .model import Computation, Cut, ResourceLimitError, UsageError
+from .model import Computation, Cut, ResourceLimitError, UsageError, Visitor
 
 # The most events the brute-force oracle accepts: its recursion visits up to
 # 2**|E| leaves.
@@ -40,7 +39,7 @@ class LevelBfsStats:
 
 def traditional_bfs(
     comp: Computation,
-    visitor: Callable[[Cut, int, Callable[[], Cut]], object] | None = None,
+    visitor: Visitor | None = None,
     rank_filter: tuple[int, int] | None = None,
     max_stored_cuts: int | None = None,
 ) -> LevelBfsStats:
@@ -49,9 +48,9 @@ def traditional_bfs(
     Each level is visited in lexical order (highest chain most significant).
     ``rank_filter`` restricts which ranks are *visited*; levels below the
     window are still expanded to reach it.  ``max_stored_cuts`` caps the
-    number of simultaneously stored cuts and raises
-    :class:`ResourceLimitError` (carrying the partial stats) when exceeded,
-    the stored-cut analogue of running out of heap.
+    number of simultaneously stored cuts, the start level's one cut
+    included, and raises :class:`ResourceLimitError` (carrying the partial
+    stats) when exceeded, the stored-cut analogue of running out of heap.
 
     The visitor signature matches the uniflow traversal's; the remap callback
     is the identity here since cuts are already over the original chains.
@@ -66,6 +65,10 @@ def traditional_bfs(
     n = comp.n
     level: set[Cut] = {(0,) * n}
     stats.peak_stored_cuts = 1
+    if max_stored_cuts is not None and stats.peak_stored_cuts > max_stored_cuts:  # start level
+        raise ResourceLimitError(
+            f"stored-cut cap {max_stored_cuts} exceeded at rank 0", stats=stats
+        )
     rank = 0
     while True:
         if len(level) > stats.max_level_width:

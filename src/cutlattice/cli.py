@@ -26,7 +26,9 @@ from pathlib import Path
 from typing import Callable
 
 from .baselines import BRUTE_FORCE_MAX_EVENTS, brute_force_downsets, traditional_bfs
-from .model import Computation, Cut, ResourceLimitError, UsageError, format_cut, make_computation
+from .model import (
+    Computation, Cut, ResourceLimitError, UsageError, Visitor, format_cut, make_computation,
+)
 from .traceio import GenSpec, TraceError, generate_random, parse_document, serialize_trace
 from .traversal import traverse_rank_range
 from .uniflow import UniflowPartition, build_uniflow_partition, regenerate_vector_clocks
@@ -37,23 +39,18 @@ _OP_NORM = {"≥": ">=", "≤": "<="}
 
 @dataclass(frozen=True)
 class PredicateSpec:
-    """Conjunction of per-process count bounds plus optional rank bounds.
+    """Conjunction of count bounds on processes and on the rank.
 
     Grammar: terms joined by ``&``; a term is ``p<i><op><count>`` or
-    ``rank<op><count>`` with ``op`` one of ``=``, ``<=``, ``>=``.
+    ``rank<op><count>`` with ``op`` one of ``=``, ``<=``, ``>=``.  Each is
+    kept as ``(process, op, count)``, with ``process`` ``None`` for ``rank``.
     """
 
-    terms: tuple[tuple[int, str, int], ...]
-    rank_min: int | None = None
-    rank_max: int | None = None
+    terms: tuple[tuple[int | None, str, int], ...]
 
     def matches(self, cut, r: int) -> bool:
-        if self.rank_min is not None and r < self.rank_min:
-            return False
-        if self.rank_max is not None and r > self.rank_max:
-            return False
         for process, op, count in self.terms:
-            have = cut[process - 1]
+            have = r if process is None else cut[process - 1]
             if op == "=" and have != count:
                 return False
             if op == ">=" and have < count:
@@ -63,46 +60,33 @@ class PredicateSpec:
         return True
 
     def validate(self, comp: Computation) -> None:
-        """Reject a term on a process the trace lacks, and an ``=`` or
-        ``>=`` term that no cut can meet: on a process, a count above its
-        events; on ``rank``, a count above the trace's events.  A ``<=``
-        term above that count holds on every cut and is accepted."""
+        """Reject, in term order, a term on a process the trace lacks, and
+        an ``=`` or ``>=`` term that no cut can meet: on a process, a count
+        above its events; on ``rank``, a count above the trace's events.  A
+        ``<=`` term above that count holds on every cut and is accepted."""
         for process, op, count in self.terms:
-            if not 1 <= process <= comp.n:
+            if process is None:
+                noun, events, owner = "rank", comp.event_count, "the trace"
+            elif 1 <= process <= comp.n:
+                noun, events, owner = "count", comp.chain_lengths[process - 1], f"process {process}"
+            else:
                 raise UsageError(f"predicate process p{process} outside 1..{comp.n}")
-            events = comp.chain_lengths[process - 1]
             if op != "<=" and count > events:
-                raise UsageError(
-                    f"predicate count {count} exceeds the {events} events of process {process}"
-                )
-        if self.rank_min is not None and self.rank_min > comp.event_count:
-            raise UsageError(
-                f"predicate rank {self.rank_min} exceeds the {comp.event_count} events of the trace"
-            )
+                raise UsageError(f"predicate {noun} {count} exceeds the {events} events of {owner}")
 
 
 def parse_predicate(text: str) -> PredicateSpec:
-    terms: list[tuple[int, str, int]] = []
-    rank_min: int | None = None
-    rank_max: int | None = None
+    terms: list[tuple[int | None, str, int]] = []
     for chunk in text.split("&"):
         chunk = chunk.strip()
         m = _TERM_RE.match(chunk)
         if not m:
             raise UsageError(f"bad predicate term {chunk!r}")
-        op = _OP_NORM.get(m.group(3), m.group(3))
-        count = int(m.group(4))
-        if m.group(1) == "rank":
-            if op in ("=", ">="):
-                rank_min = count if rank_min is None else max(rank_min, count)
-            if op in ("=", "<="):
-                rank_max = count if rank_max is None else min(rank_max, count)
-        else:
-            process = int(m.group(2))
-            if process < 1:
-                raise UsageError(f"predicate process p{process} must be at least p1")
-            terms.append((process, op, count))
-    return PredicateSpec(tuple(terms), rank_min, rank_max)
+        process = None if m.group(1) == "rank" else int(m.group(2))
+        if process == 0:
+            raise UsageError(f"predicate process p{process} must be at least p1")
+        terms.append((process, _OP_NORM.get(m.group(3), m.group(3)), int(m.group(4))))
+    return PredicateSpec(tuple(terms))
 
 
 def parse_rank_spec(text: str, total: int) -> tuple[int, int]:
@@ -189,38 +173,25 @@ class RunRecord:
     partition_s: float = 0.0
 
 
-# visitor(original_cut, rank) sees each cut of the window once, in rank-major
-# lexical-minor order; returning False stops the run.
-CutVisitor = Callable[[Cut, int], object]
-
-
 def _run_uniflow(
-    comp: Computation, window: tuple[int, int], visitor: CutVisitor | None, max_stored: int | None
+    comp: Computation, window: tuple[int, int], visitor: Visitor | None, max_stored: int | None
 ) -> RunRecord:
     part, partition_s = _prepare_partition(comp)
-    stats = traverse_rank_range(
-        part, window[0], window[1],
-        None if visitor is None else lambda cut, r, remap_fn: visitor(remap_fn(), r),
-    )
+    stats = traverse_rank_range(part, window[0], window[1], visitor)
     return RunRecord(
         stats.cuts_visited, stats.peak_live_cuts, stats.aux_int_peak, part.n_u, partition_s
     )
 
 
 def _run_traditional(
-    comp: Computation, window: tuple[int, int], visitor: CutVisitor | None, max_stored: int | None
+    comp: Computation, window: tuple[int, int], visitor: Visitor | None, max_stored: int | None
 ) -> RunRecord:
-    stats = traditional_bfs(
-        comp,
-        None if visitor is None else lambda cut, r, remap_fn: visitor(cut, r),
-        rank_filter=window,
-        max_stored_cuts=max_stored,
-    )
+    stats = traditional_bfs(comp, visitor, rank_filter=window, max_stored_cuts=max_stored)
     return RunRecord(stats.cuts_visited, stats.peak_stored_cuts)
 
 
 def _run_brute(
-    comp: Computation, window: tuple[int, int], visitor: CutVisitor | None, max_stored: int | None
+    comp: Computation, window: tuple[int, int], visitor: Visitor | None, max_stored: int | None
 ) -> RunRecord:
     by_rank = brute_force_downsets(comp)
     in_order = (
@@ -231,13 +202,14 @@ def _run_brute(
     cuts = 0
     for cut, r in in_order:
         cuts += 1
-        if visitor is not None and visitor(cut, r) is False:
+        if visitor is not None and visitor(cut, r, lambda _c=cut: _c) is False:
             break
     return RunRecord(cuts, sum(len(s) for s in by_rank.values()))
 
 
-# The three enumerators, all run(comp, (r1, r2), visitor, max_stored); only
-# the level BFS honours the stored-cut cap.
+# The three enumerators, all run(comp, (r1, r2), visitor, max_stored), call
+# visitor(cut, rank, remap) on each cut of the window once, in rank-major
+# lexical-minor order; only the level BFS honours the stored-cut cap.
 ENUMERATORS: dict[str, Callable[..., RunRecord]] = {
     "uniflow": _run_uniflow,
     "traditional": _run_traditional,
@@ -246,15 +218,8 @@ ENUMERATORS: dict[str, Callable[..., RunRecord]] = {
 
 
 def _run(
-    algo: str,
-    name: str,
-    comp: Computation,
-    window: tuple[int, int],
-    ranks_text: str,
-    predicate: PredicateSpec | None,
-    mode: str,
-    max_stored: int | None,
-    out,
+    algo: str, name: str, comp: Computation, window: tuple[int, int], ranks_text: str,
+    predicate: PredicateSpec | None, mode: str, max_stored: int | None, out,
 ) -> RunReport:
     """Run one algorithm over one trace.
 
@@ -266,8 +231,9 @@ def _run(
     match: list[tuple[int, Cut]] = []
     matched_count = 0
 
-    def handle(original_cut, r) -> bool:
+    def handle(cut, r, remap) -> bool:
         nonlocal matched_count
+        original_cut = remap()
         if predicate is not None and not predicate.matches(original_cut, r):
             return True
         matched_count += 1
@@ -296,21 +262,9 @@ def _run(
 
     first_rank, first_cut = (match[0][0], format_cut(match[0][1])) if match else (None, None)
     return RunReport(
-        algorithm=algo,
-        trace=name,
-        n=comp.n,
-        events=comp.event_count,
-        n_u=record.n_u,
-        ranks=ranks_text,
-        cuts=record.cuts,
-        first_match_rank=first_rank,
-        first_match_cut=first_cut,
-        partition_s=record.partition_s,
-        traverse_s=elapsed - record.partition_s,
-        peak_stored_cuts=record.peak_stored_cuts,
-        aux_int_peak=record.aux_int_peak,
-        status=status,
-        error=error,
+        algorithm=algo, trace=name, n=comp.n, events=comp.event_count, ranks=ranks_text,
+        first_match_rank=first_rank, first_match_cut=first_cut,
+        traverse_s=elapsed - record.partition_s, status=status, error=error, **vars(record),
     )
 
 
@@ -398,7 +352,7 @@ def cmd_verify(args) -> int:
     for a in names:
         sets: dict[int, set] = {}
         ENUMERATORS[a](
-            comp, (0, max_rank), lambda cut, r: sets.setdefault(r, set()).add(cut), None
+            comp, (0, max_rank), lambda cut, r, remap: sets.setdefault(r, set()).add(remap()), None
         )
         results[a] = sets
     print(f"trace={name} enumerators={','.join(names)} max_rank={max_rank}")

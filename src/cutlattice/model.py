@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 
 class UsageError(ValueError):
@@ -35,6 +35,9 @@ class ResourceLimitError(RuntimeError):
 
 Clock = tuple[int, ...]
 Cut = tuple[int, ...]
+# visitor(cut, rank, remap), where remap() gives the cut over the original
+# process chains; returning False stops the enumeration.
+Visitor = Callable[[Cut, int, Callable[[], Cut]], object]
 
 
 @dataclass(frozen=True)
@@ -44,12 +47,11 @@ class Event:
     ``deps`` holds direct causal predecessors only (never the transitive
     closure) and always includes the same-process predecessor when one
     exists.  ``vc`` is the vector clock over the original process chains;
-    ``vc[process - 1]`` equals ``index_on_process``.
+    ``vc[process - 1]`` is the event's position on its process, from 1.
     """
 
     id: int
     process: int
-    index_on_process: int
     deps: frozenset[int]
     vc: Clock
 
@@ -109,7 +111,7 @@ def make_computation(n: int, records: Iterable[tuple[int, int, Iterable[int]]]) 
     # objects are made after the loop: made inside it, among its temporary
     # lists and sets, they slowed regeneration, which reads their deps, by
     # about 9% at |E| = 1000.
-    fields: dict[int, tuple[int, int, int, frozenset[int], Clock]] = {}
+    fields: dict[int, tuple[int, int, frozenset[int], Clock]] = {}
     for rec_no, (eid, process, deps) in enumerate(records, start=1):
         if eid < 0:
             raise UsageError(f"record {rec_no}: event id {eid} is negative")
@@ -136,7 +138,7 @@ def make_computation(n: int, records: Iterable[tuple[int, int, Iterable[int]]]) 
             for d in it:
                 acc = [a if a > b else b for a, b in zip(acc, fields[d][-1])]
         acc[process - 1] = len(chain)
-        fields[eid] = (eid, process, len(chain), frozenset(dep_set), tuple(acc))
+        fields[eid] = (eid, process, frozenset(dep_set), tuple(acc))
 
     return Computation(
         n=n,

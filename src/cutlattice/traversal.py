@@ -55,12 +55,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import compress, count
 from operator import lt
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .model import Cut, UsageError, is_consistent
+from .model import Cut, UsageError, Visitor, is_consistent
 from .uniflow import UniflowPartition
-
-Visitor = Callable[[Cut, int, Callable[[], Cut]], object]
 
 
 @dataclass

@@ -65,6 +65,18 @@ class TestTraditionalBfs:
         assert exc_info.value.stats is not None
         assert exc_info.value.stats.peak_stored_cuts > 10
 
+    @pytest.mark.parametrize("records", [[(1, 1, []), (2, 2, []), (3, 1, [2])], []],
+                             ids=["fork-join", "empty"])
+    def test_cap_below_the_start_level_raises_at_rank_0(self, records):
+        """The start level's one cut counts against the cap, even when no
+        level is ever expanded."""
+        comp = make_computation(2, records)
+        with pytest.raises(ResourceLimitError, match="cap 0 exceeded at rank 0") as exc_info:
+            traditional_bfs(comp, rank_filter=(0, 0), max_stored_cuts=0)
+        assert exc_info.value.stats.peak_stored_cuts == 1
+        assert exc_info.value.stats.cuts_visited == 0
+        assert traditional_bfs(comp, rank_filter=(0, 0), max_stored_cuts=1).cuts_visited == 1
+
     def test_peak_covers_widest_level(self):
         comp = random_computation(seed=124, n=4, events=16, p=0.3)
         stats = traditional_bfs(comp)

@@ -18,11 +18,11 @@ from cutlattice.cli import (
     parse_rank_spec,
     write_reports_csv,
 )
-from cutlattice.model import UsageError
+from cutlattice.model import UsageError, format_cut
 from cutlattice.traceio import GenSpec, generate_random, serialize_trace
 from cutlattice.uniflow import build_uniflow_partition
 
-from reference import partition_from_chains
+from reference import parse_trace, partition_from_chains
 
 SIX_EVENT = "n=2\n1 1\n2 1\n3 1\n4 2\n5 2 2\n6 2\n"
 CROSSING = "n=2\n1 1\n2 2\n3 2 1\n4 1 2\n"
@@ -75,8 +75,7 @@ class TestParseHelpers:
 
     def test_predicate_terms(self):
         spec = parse_predicate("p2>=2 & p1<=1 & rank>=3")
-        assert spec.terms == ((2, ">=", 2), (1, "<=", 1))
-        assert spec.rank_min == 3
+        assert spec.terms == ((2, ">=", 2), (1, "<=", 1), (None, ">=", 3))
         assert spec.matches((1, 2), 3)
         assert not spec.matches((2, 2), 4)
 
@@ -220,6 +219,18 @@ class TestTraverse:
         assert main(["traverse", six_event_path, "--predicate", text]) == 0
         assert f"cuts={cuts}" in capsys.readouterr().out.splitlines()
 
+    @pytest.mark.parametrize("text,message", [
+        ("rank>=7 & p9>=1", "predicate rank 7 exceeds the 6 events of the trace"),
+        ("p9>=1 & rank>=7", "predicate process p9 outside 1..2"),
+        ("p1=5 & rank=8 & rank=7", "predicate count 5 exceeds the 3 events of process 1"),
+        ("rank>=7 & rank>=8", "predicate rank 7 exceeds the 6 events of the trace"),
+    ])
+    def test_first_bad_term_is_reported(self, six_event_path, capsys, text, message):
+        """Terms are validated in order, a rank term like any other: the
+        first bad one names the error."""
+        assert main(["traverse", six_event_path, "--predicate", text]) == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+
     def test_predicate_process_zero_is_usage_error(self, six_event_path, capsys):
         assert main(["traverse", six_event_path, "--predicate", "p0>=1"]) == 2
         assert "p0 must be at least p1" in capsys.readouterr().err
@@ -254,6 +265,84 @@ class TestTraverse:
             "traverse", str(path), "--algo", "traditional", "--max-stored", "5",
         ]) == 3
 
+    @pytest.mark.parametrize("trace", [FORK_JOIN, "n=2\n"], ids=["fork-join", "empty"])
+    def test_cap_below_the_start_level_is_resource_error(self, tmp_path, capsys, trace):
+        """The start level's one cut is over a cap of 0: exit 3, before any
+        cut is visited."""
+        path = tmp_path / "t.trace"
+        path.write_text(trace)
+        assert main([
+            "traverse", str(path), "--algo", "traditional", "--max-stored", "0", "--ranks", "0",
+        ]) == 3
+        captured = capsys.readouterr()
+        assert "stored-cut cap 0 exceeded at rank 0" in captured.err
+        assert "partial: cuts=0 peak_stored_cuts=1" in captured.out.splitlines()
+
+
+ALGOS = ("uniflow", "traditional", "brute")
+
+
+def traverse_lines(capsys, path, algo, *argv) -> list[str]:
+    """``traverse``'s output lines, less the timing line, with exit 0."""
+    assert main(["traverse", path, "--algo", algo, *argv]) == 0
+    return [l for l in capsys.readouterr().out.splitlines() if "_s=" not in l]
+
+
+@pytest.mark.parametrize("trace", [SIX_EVENT, CROSSING], ids=["six-event", "crossing"])
+class TestVisitorPathAcrossAlgorithms:
+    """Each enumerator hands every cut to the CLI's visitor as
+    ``visitor(cut, rank, remap)``; all three must give the same answers."""
+
+    @pytest.fixture
+    def path(self, tmp_path, trace):
+        path = tmp_path / "t.trace"
+        path.write_text(trace)
+        return str(path)
+
+    def test_list_gives_the_same_cut_set_per_rank(self, capsys, path, trace):
+        expected = {
+            f"rank={r}": {f"cut={format_cut(cut)}" for cut in cuts}
+            for r, cuts in brute_force_downsets(parse_trace(trace)).items()
+        }
+        for algo in ALGOS:
+            by_rank: dict[str, set[str]] = {}
+            for line in traverse_lines(capsys, path, algo, "--mode", "list"):
+                if line.startswith("rank="):
+                    rank, cut = line.split()
+                    by_rank.setdefault(rank, set()).add(cut)
+            assert by_rank == expected, algo
+
+    def test_first_match_gives_the_same_rank(self, capsys, path, trace):
+        least = min(
+            r for r, cuts in brute_force_downsets(parse_trace(trace)).items()
+            for cut in cuts if cut[1] >= 2 and cut[0] >= 1
+        )
+        for algo in ALGOS:
+            lines = traverse_lines(
+                capsys, path, algo, "--mode", "first-match", "--predicate", "p2>=2 & p1>=1"
+            )
+            assert [l.split()[1] for l in lines if l.startswith("match ")] == [f"rank={least}"]
+
+
+@pytest.mark.parametrize("trace", [SIX_EVENT, CROSSING], ids=["six-event", "crossing"])
+@pytest.mark.parametrize("text,holds", [
+    ("rank>=2 & rank<=4 & rank>=3", lambda cut, r: 3 <= r <= 4),
+    ("rank=4 & p1>=1", lambda cut, r: r == 4 and cut[0] >= 1),
+    ("rank<=3 & p1>=1", lambda cut, r: r <= 3 and cut[0] >= 1),
+], ids=["three-rank-terms", "rank-and-process", "rank-at-most"])
+@pytest.mark.parametrize("algo", ALGOS)
+def test_rank_terms_are_terms(tmp_path, capsys, trace, text, holds, algo):
+    """Rank terms combine with each other and with process terms as plain
+    conjuncts: with each algorithm, through the visitor, the count is the
+    brute-force cuts that satisfy all of them."""
+    path = tmp_path / "t.trace"
+    path.write_text(trace)
+    expected = sum(
+        holds(cut, r) for r, cuts in brute_force_downsets(parse_trace(trace)).items() for cut in cuts
+    )
+    assert expected > 0
+    assert f"cuts={expected}" in traverse_lines(capsys, str(path), algo, "--predicate", text)
+
 
 class TestVerify:
     def test_pass(self, six_event_path, capsys):
@@ -273,7 +362,7 @@ class TestVerify:
 
         def corrupted(comp, window, visitor, max_stored):
             record = uniflow(comp, window, visitor, max_stored)
-            visitor((-1,) * comp.n, 2)
+            visitor((-1,) * comp.n, 2, lambda: (-1,) * comp.n)
             return record
 
         monkeypatch.setitem(cli.ENUMERATORS, "uniflow", corrupted)
@@ -422,7 +511,7 @@ def test_unknown_algo_rejected_by_argparse(six_event_path):
 
 
 def test_predicate_spec_rank_bounds():
-    spec = PredicateSpec(terms=(), rank_min=2, rank_max=4)
+    spec = PredicateSpec(terms=((None, ">=", 2), (None, "<=", 4)))
     assert not spec.matches((0,), 1)
     assert spec.matches((0,), 3)
     assert not spec.matches((0,), 5)

@@ -101,8 +101,9 @@ class TestComputeVectorClocks:
         comp = random_computation(seed, n=10, events=events, p=0.3)
         part = regenerate_vector_clocks(build_uniflow_partition(comp))
         evs = comp.events
+        position = {eid: k for chain in comp.chains for k, eid in enumerate(chain, start=1)}
         original = [
-            (eid, evs[eid].deps, evs[eid].process - 1, evs[eid].index_on_process)
+            (eid, evs[eid].deps, evs[eid].process - 1, position[eid])
             for eid in comp.topo_order
         ]
         uniflow = []

@@ -439,7 +439,7 @@ class TestOriginalEvents:
         )
         part = build_uniflow_partition(comp)
         positions = [
-            (comp.events[eid].process, comp.events[eid].index_on_process)
+            (comp.events[eid].process, comp.events[eid].vc[comp.events[eid].process - 1])
             for chain in part.chains
             for eid in chain
         ]
