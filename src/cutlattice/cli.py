@@ -224,7 +224,9 @@ def _run(
     """Run one algorithm over one trace.
 
     A run that exceeds the stored-cut cap or rejects its input is reported
-    with status ``resource-error`` or ``error``, not raised.
+    with status ``resource-error`` or ``error``, not raised.  With a
+    predicate, ``cuts`` counts the cuts that matched, a stopped run's
+    partial count included.
     """
     listing = mode == "list"
     first_match = mode == "first-match"
@@ -251,14 +253,14 @@ def _run(
     t0 = time.perf_counter()
     try:
         record = ENUMERATORS[algo](comp, window, visitor, max_stored)
-        if predicate is not None:
-            record.cuts = matched_count
     except ResourceLimitError as exc:
         record = RunRecord(exc.stats.cuts_visited, exc.stats.peak_stored_cuts)
         status, error = "resource-error", str(exc)
     except UsageError as exc:
         record, status, error = RunRecord(), "error", str(exc)
     elapsed = time.perf_counter() - t0
+    if predicate is not None and record.cuts is not None:  # an error row has none
+        record.cuts = matched_count
 
     first_rank, first_cut = (match[0][0], format_cut(match[0][1])) if match else (None, None)
     return RunReport(
@@ -487,9 +489,6 @@ def main(argv=None) -> int:
     except TraceError as exc:
         print(f"trace error: {exc}", file=sys.stderr)
         return 2
-    except ResourceLimitError as exc:
-        print(f"resource error: {exc}", file=sys.stderr)
-        return 3
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -101,8 +101,10 @@ def make_computation(n: int, records: Iterable[tuple[int, int, Iterable[int]]]) 
     single predecessor, the one before them on their process, so most clocks
     cost one list copy instead of a compare per component.
 
-    Raises :class:`UsageError` on duplicate ids, out-of-range processes, or
-    a dependency on an unseen event.
+    This is the one check of the records' rules.  It raises
+    :class:`UsageError` on a negative ``n`` and, naming the 1-based record,
+    on a negative or duplicate id, a process outside ``1..n``, or a
+    dependency on a record not seen before.
     """
     if n < 0:
         raise UsageError("process count must be non-negative")

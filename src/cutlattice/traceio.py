@@ -44,7 +44,7 @@ class TraceError(UsageError):
 
 @dataclass(frozen=True)
 class TraceDocument:
-    """Parsed trace file: header, event records, optional metadata."""
+    """Parsed trace file: header, event records as written, optional metadata."""
 
     n: int
     records: tuple[tuple[int, int, tuple[int, ...]], ...]
@@ -84,16 +84,18 @@ def splitmix64(seed: int) -> Iterator[int]:
 def parse_document(data: bytes | str) -> TraceDocument:
     """Parse a trace file into a :class:`TraceDocument`.
 
-    Rejects, with the offending line number: missing or malformed header,
-    non-integer fields, duplicate ids, out-of-range processes, and
-    dependencies that do not refer to an earlier record.  Also rejects a
-    ``trace-format`` tag other than :data:`FORMAT_VERSION`.
+    Checks syntax only.  Rejects, with the offending line number, a missing
+    or malformed header, a line without two or three fields, and a
+    non-integer field; rejects a ``trace-format`` tag other than
+    :data:`FORMAT_VERSION` and a non-integer ``seed`` tag.  The records'
+    own rules (a non-negative process count, non-negative unique ids,
+    processes in ``1..n``, dependencies on earlier records) are
+    :func:`~cutlattice.model.make_computation`'s to check, by record number.
     """
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     meta: dict[str, str] = {}
     n: int | None = None
     records: list[tuple[int, int, tuple[int, ...]]] = []
-    seen: set[int] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -111,8 +113,6 @@ def parse_document(data: bytes | str) -> TraceDocument:
                 n = int(line[2:])
             except ValueError:
                 raise TraceError(f"bad process count {line[2:]!r}", line_no) from None
-            if n < 0:
-                raise TraceError("process count must be non-negative", line_no)
             continue
         fields = line.split()
         if len(fields) not in (2, 3):
@@ -123,18 +123,6 @@ def parse_document(data: bytes | str) -> TraceDocument:
             deps = tuple(int(d) for d in fields[2].split(",")) if len(fields) == 3 else ()
         except ValueError:
             raise TraceError(f"non-integer field in {line!r}", line_no) from None
-        if eid < 0:
-            raise TraceError(f"event id {eid} is negative", line_no)
-        if eid in seen:
-            raise TraceError(f"duplicate event id {eid}", line_no)
-        if not 1 <= process <= (n or 0):
-            raise TraceError(f"process {process} outside 1..{n}", line_no)
-        for d in deps:
-            if d not in seen:
-                raise TraceError(
-                    f"dependency {d} does not refer to an earlier event", line_no
-                )
-        seen.add(eid)
         records.append((eid, process, deps))
     if n is None:
         raise TraceError("missing 'n=<int>' header")

@@ -51,13 +51,14 @@ class UniflowPartition:
     """A repartition of a computation's events into ``n_u`` chains.
 
     ``chains[i]`` lists event ids in chain order for chain ``i + 1``.
-    ``uvc`` maps each event to its *lower clock*, the components of its
-    vector clock over the uniflow chains that lie below its own chain: an
-    event on chain ``c`` holds ``c - 1`` of them.  The walk reads no other
+    ``lower_rows[i][k]`` is the *lower clock* of the (k+1)-th event on chain
+    ``i + 1``: the ``i`` components of its vector clock over the uniflow
+    chains that lie below its own chain.  The walk reads no other
     component.  Events along a chain share one tuple until an event with a
-    dependency on a lower chain starts a new one.  ``uvc`` is ``None`` until
-    :func:`regenerate_vector_clocks` has run; :meth:`full_clock` gives the
-    whole ``n_u``-wide clock for display.
+    dependency on a lower chain starts a new one.  ``lower_rows`` is
+    ``None`` until :func:`regenerate_vector_clocks` has run, and is read
+    through ``clock_rows``; :meth:`full_clock` gives the whole
+    ``n_u``-wide clock for display.
     ``process_rows`` holds each event's 0-based source process, laid out like
     ``clock_rows``; it is what :func:`cutlattice.traversal.remap` and the
     walk's ``remap()`` count.
@@ -68,7 +69,7 @@ class UniflowPartition:
     source: Computation
     chains: tuple[tuple[int, ...], ...]
     chain_of: Mapping[int, int]
-    uvc: Mapping[int, Clock] | None = None
+    lower_rows: tuple[tuple[Clock, ...], ...] | None = None
 
     @property
     def n_u(self) -> int:
@@ -89,17 +90,14 @@ class UniflowPartition:
         events = self.source.events
         return tuple(tuple(events[eid].process - 1 for eid in chain) for chain in self.chains)
 
-    @cached_property
+    @property
     def clock_rows(self) -> tuple[tuple[Clock, ...], ...]:
-        """Per-chain lower clocks: ``clock_rows[i][k]`` holds the ``i``
-        components below chain ``i + 1`` of the clock of the (k+1)-th event
-        on that chain; requires regenerated vector clocks."""
-        if self.uvc is None:
+        """The stored ``lower_rows``; requires regenerated vector clocks."""
+        if self.lower_rows is None:
             raise UsageError(
                 "partition has no uniflow vector clocks; call regenerate_vector_clocks first"
             )
-        uvc = self.uvc
-        return tuple(tuple(uvc[eid] for eid in chain) for chain in self.chains)
+        return self.lower_rows
 
     def full_clock(self, eid: int) -> Clock:
         """The event's whole vector clock over the ``n_u`` uniflow chains:
@@ -237,17 +235,20 @@ def regenerate_vector_clocks(part: UniflowPartition) -> UniflowPartition:
     it leaves some pair on that chain out of order.
 
     The clocks are built chain by chain, bottom to top, which lists every
-    predecessor first.  An event with no dependency on a lower chain has the
-    lower clock of the event below it, and shares that tuple.  Any other
-    event starts from a copy of it (zeros at the bottom of a chain) and
-    merges in each lower dependency ``d`` on chain ``t``: ``d``'s lower clock
-    on components ``1..t - 1`` and ``d``'s position on component ``t``.
+    predecessor first, and each is appended to its chain's row as it is
+    made.  An event with no dependency on a lower chain has the lower clock
+    of the event below it, and shares that tuple.  Any other event starts
+    from a copy of it (zeros at the bottom of a chain) and merges in each
+    lower dependency ``d`` on chain ``t``: ``d``'s lower clock,
+    ``rows[t - 1][position[d] - 1]``, on components ``1..t - 1`` and
+    ``d``'s position on component ``t``.
     """
     events = part.source.events
     chain_of = part.chain_of
-    uvc: dict[int, Clock] = {}
+    rows: list[tuple[Clock, ...]] = []
     position: dict[int, int] = {}  # filled as the chains are walked
     for c, chain in enumerate(part.chains, start=1):
+        row: list[Clock] = []
         low: Clock | None = None  # the lower clock of the event below
         below: Event | None = None
         for k, eid in enumerate(chain, start=1):
@@ -265,8 +266,8 @@ def regenerate_vector_clocks(part: UniflowPartition) -> UniflowPartition:
                 if t < c:
                     if acc is None:
                         acc = [0] * (c - 1) if low is None else list(low)
-                    acc[: t - 1] = [a if a > b else b for a, b in zip(acc, uvc[d])]
                     p = position[d]
+                    acc[: t - 1] = [a if a > b else b for a, b in zip(acc, rows[t - 1][p - 1])]
                     if p > acc[t - 1]:
                         acc[t - 1] = p
                 elif t > c:
@@ -278,9 +279,10 @@ def regenerate_vector_clocks(part: UniflowPartition) -> UniflowPartition:
                 low = tuple(acc)
             elif low is None:
                 low = (0,) * (c - 1)
-            uvc[eid] = low
+            row.append(low)
             position[eid] = k
             below = ev
+        rows.append(tuple(row))
     return UniflowPartition(
-        source=part.source, chains=part.chains, chain_of=part.chain_of, uvc=uvc
+        source=part.source, chains=part.chains, chain_of=part.chain_of, lower_rows=tuple(rows)
     )

@@ -303,8 +303,9 @@ def uniflow_fill(g: Sequence[int], k: int, part: UniflowPartition) -> Cut:
 def parse_trace(data: bytes | str) -> Computation:
     """Parse and validate a trace file into a ready :class:`Computation`.
 
-    Vector clocks are computed; all format-level rejects carry positions via
-    ``TraceError``.
+    Vector clocks are computed.  Syntax errors are ``TraceError``s naming
+    the line; a record that breaks a rule is a ``UsageError`` from
+    ``make_computation`` naming the record.
     """
     doc = parse_document(data)
     return make_computation(doc.n, doc.records)

@@ -88,6 +88,26 @@ class TestTraditionalBfs:
         assert stats.early_stopped
         assert stats.cuts_visited == 4
 
+    def test_counts_after_a_mid_level_early_stop(self, six_event):
+        """The stop comes at the first of rank 2's two cuts: that rank
+        counts one visited cut, and no rank-2 cut has been expanded."""
+        seen = []
+        stats = traditional_bfs(six_event, lambda c, r, m: seen.append(c) or len(seen) < 4)
+        assert stats.cuts_visited == 4
+        assert stats.per_rank == {0: 1, 1: 2, 2: 1}
+        assert stats.expanded_per_rank == {0: 1, 1: 2}
+
+    def test_counts_after_a_mid_level_cap_error(self, six_event):
+        """A cap of 3 is exceeded while expanding the first of rank 1's two
+        cuts: every rank-1 cut was visited, one was expanded."""
+        with pytest.raises(ResourceLimitError, match="cap 3 exceeded at rank 1") as exc_info:
+            traditional_bfs(six_event, max_stored_cuts=3)
+        stats = exc_info.value.stats
+        assert stats.cuts_visited == 3
+        assert stats.per_rank == {0: 1, 1: 2}
+        assert stats.expanded_per_rank == {0: 1, 1: 1}
+        assert (stats.peak_stored_cuts, stats.max_level_width) == (4, 2)
+
     def test_remap_callback_is_identity(self, six_event):
         pairs = []
         traditional_bfs(six_event, lambda c, r, m: pairs.append((c, m())) or True)

@@ -278,6 +278,38 @@ class TestTraverse:
         assert "stored-cut cap 0 exceeded at rank 0" in captured.err
         assert "partial: cuts=0 peak_stored_cuts=1" in captured.out.splitlines()
 
+    def test_stopped_run_counts_matched_cuts(self, tmp_path, capsys):
+        """With a predicate, a stopped run's partial count is of the cuts
+        that matched, as a finished run's count is: 5 of the 49 cuts of
+        ranks 0..4 have ``p1 >= 3``."""
+        path = tmp_path / "s3.trace"
+        path.write_text(serialize_trace(
+            generate_random(GenSpec(n=4, total_events=18, message_probability=0.4, seed=3))))
+        argv = ["traverse", str(path), "--algo", "traditional", "--max-stored", "40"]
+        assert main(argv) == 3
+        assert "partial: cuts=49 peak_stored_cuts=41" in capsys.readouterr().out.splitlines()
+        assert main([*argv, "--predicate", "p1>=3"]) == 3
+        assert "partial: cuts=5 peak_stored_cuts=41" in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("trace,message", [
+        ("n=1\n1 1\n2 1 3\n3 1\n",
+         "usage error: record 2: dependency 3 does not refer to an earlier event"),
+        ("n=1\n1 1\n# a comment\n\n1 1\n", "usage error: record 2: duplicate event id 1"),
+        ("n=2\n1 1\n2 3\n", "usage error: record 2: process 3 outside 1..2"),
+        ("n=1\n-1 1\n", "usage error: record 1: event id -1 is negative"),
+        ("# a comment\nn=1\n1 1\n2 one\n", "trace error: line 4: non-integer field in '2 one'"),
+    ], ids=["forward-dependency", "duplicate-id", "process-out-of-range", "negative-id", "syntax"])
+    def test_bad_record_is_usage_error(self, tmp_path, capsys, trace, message):
+        """A record that breaks a rule is named by its number among the
+        event lines, comments and blank lines not counted; a syntax error
+        is named by its line in the file."""
+        path = tmp_path / "bad.trace"
+        path.write_text(trace)
+        assert main(["traverse", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
 
 ALGOS = ("uniflow", "traditional", "brute")
 

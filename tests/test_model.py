@@ -118,8 +118,8 @@ class TestComputeVectorClocks:
         assert {eid: evs[eid].vc for eid in comp.topo_order} == expected
         expected = fold_clocks_per_component(uniflow, part.n_u)
         for eid, _, ci, k in uniflow:
-            assert type(part.uvc[eid]) is tuple
-            assert part.uvc[eid] == expected[eid][:ci]
+            assert type(part.clock_rows[ci][k - 1]) is tuple
+            assert part.clock_rows[ci][k - 1] == expected[eid][:ci]
             assert expected[eid][ci:] == (k,) + (0,) * (part.n_u - ci - 1)
 
 

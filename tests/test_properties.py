@@ -111,7 +111,7 @@ def test_clocks_count_the_causal_past(comp):
         for c, chain in enumerate(part.chains, start=1):
             for k, eid in enumerate(chain, start=1):
                 counts = chain_counts(past[eid] | {eid}, part.chain_of.__getitem__, part.n_u)
-                assert list(part.uvc[eid]) == counts[: c - 1]
+                assert list(part.clock_rows[c - 1][k - 1]) == counts[: c - 1]
                 assert counts[c - 1:] == [k] + [0] * (part.n_u - c)
 
 
@@ -248,7 +248,7 @@ def _assert_gate_matches_oracle(part) -> None:
     """Clock regeneration succeeds exactly when the quadratic oracle finds
     ``part`` uniflow, and otherwise raises ``UsageError``."""
     if verify_uniflow_pairwise(part):
-        assert regenerate_vector_clocks(part).uvc is not None
+        assert regenerate_vector_clocks(part).lower_rows is not None
     else:
         with pytest.raises(UsageError, match="not uniflow"):
             regenerate_vector_clocks(part)

@@ -64,21 +64,31 @@ class TestParseTrace:
         assert comp.n == 2
         assert comp.event_count == 0
 
+    # The records' rules are make_computation's, which names the record by
+    # its number among the event lines; parse_document checks syntax only.
     def test_forward_reference_rejected(self):
-        with pytest.raises(TraceError, match="line 3.*earlier"):
+        with pytest.raises(UsageError, match="record 2: dependency 3 .*earlier") as exc_info:
             parse_trace("n=1\n1 1\n2 1 3\n3 1\n")
+        assert not isinstance(exc_info.value, TraceError)
 
     def test_self_reference_rejected(self):
-        with pytest.raises(TraceError, match="earlier"):
+        with pytest.raises(UsageError, match="record 1: dependency 1 .*earlier") as exc_info:
             parse_trace("n=1\n1 1 1\n")
+        assert not isinstance(exc_info.value, TraceError)
 
     def test_duplicate_id_rejected(self):
-        with pytest.raises(TraceError, match="duplicate"):
+        with pytest.raises(UsageError, match="record 2: duplicate event id 1") as exc_info:
             parse_trace("n=1\n1 1\n1 1\n")
+        assert not isinstance(exc_info.value, TraceError)
 
     def test_out_of_range_process_rejected(self):
-        with pytest.raises(TraceError, match="process 3"):
+        with pytest.raises(UsageError, match=r"record 1: process 3 outside 1\.\.2") as exc_info:
             parse_trace("n=2\n1 3\n")
+        assert not isinstance(exc_info.value, TraceError)
+
+    def test_record_rules_left_to_make_computation(self):
+        doc = parse_document("n=1\n-1 1\n-1 2 5\n")
+        assert doc.records == ((-1, 1, ()), (-1, 2, (5,)))
 
     def test_missing_header_rejected(self):
         with pytest.raises(TraceError, match="header"):

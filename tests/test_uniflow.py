@@ -202,37 +202,49 @@ class TestBuildUniflowPartition:
             assert part.n_u <= comp.event_count
 
 
+def lower_clock(part, eid):
+    """The event's stored lower clock, read from its chain's clock row."""
+    c = part.chain_of[eid]
+    return part.clock_rows[c - 1][part.chains[c - 1].index(eid)]
+
+
 class TestRegenerateVectorClocks:
-    """``uvc`` holds each event's lower clock, the components below its own
-    chain; ``full_clock`` adds its position and the zeros above."""
+    """``clock_rows`` holds each event's lower clock, the components below
+    its own chain; ``full_clock`` adds its position and the zeros above."""
 
     def test_cross_partition_labels(self, crossing):
         part = regenerate_vector_clocks(build_uniflow_partition(crossing))
         assert part.full_clock(4) == dv(1, 1, 1)  # P1#2 alone on the top chain
-        assert part.uvc[4] == (1, 1)
+        assert lower_clock(part, 4) == (1, 1)
         assert part.full_clock(3) == dv(0, 2, 1)  # P2#2
-        assert part.uvc[3] == (1,)
+        assert lower_clock(part, 3) == (1,)
 
     def test_three_chain_labels(self, three_chain):
         part = identity_partition(three_chain)
         assert part.full_clock(6) == dv(0, 3, 1)  # third event of the middle chain
-        assert part.uvc[6] == (1,)
+        assert lower_clock(part, 6) == (1,)
         assert part.full_clock(7) == dv(1, 2, 0)
-        assert part.uvc[7] == (0, 2)
+        assert lower_clock(part, 7) == (0, 2)
         assert part.full_clock(9) == dv(3, 2, 2)
-        assert part.uvc[9] == (2, 2)
+        assert lower_clock(part, 9) == (2, 2)
 
     def test_first_event_on_lowest_chain(self, three_chain):
         part = identity_partition(three_chain)
         assert part.full_clock(1) == dv(0, 0, 1)
-        assert part.uvc[1] == ()
+        assert lower_clock(part, 1) == ()
+
+    def test_clock_rows_are_the_stored_rows(self, three_chain):
+        """Regeneration writes the rows; ``clock_rows`` only reads them."""
+        part = identity_partition(three_chain)
+        assert part.clock_rows is part.lower_rows
+        assert part.clock_rows == (((),) * 3, ((0,), (0,), (1,)), ((0, 2), (0, 2), (2, 2)))
 
     def test_position_invariant(self):
         comp = random_computation(seed=21, n=4, events=16, p=0.4)
         part = regenerate_vector_clocks(build_uniflow_partition(comp))
         for ci, chain in enumerate(part.chains, start=1):
             for k, eid in enumerate(chain, start=1):
-                assert len(part.uvc[eid]) == ci - 1
+                assert len(part.clock_rows[ci - 1][k - 1]) == ci - 1
                 assert part.full_clock(eid)[ci - 1] == k
 
     def test_chain_shares_its_lower_clock(self):
@@ -241,10 +253,10 @@ class TestRegenerateVectorClocks:
         comp = random_computation(seed=6, n=10, events=100, p=0.3)
         part = regenerate_vector_clocks(build_uniflow_partition(comp))
         shared = 0
-        for ci, chain in enumerate(part.chains, start=1):
-            for below, eid in zip(chain, chain[1:]):
+        for ci, (chain, row) in enumerate(zip(part.chains, part.clock_rows), start=1):
+            for k, eid in enumerate(chain[1:], start=1):
                 lower_deps = any(part.chain_of[d] < ci for d in comp.events[eid].deps)
-                assert (part.uvc[eid] is part.uvc[below]) is not lower_deps, eid
+                assert (row[k] is row[k - 1]) is not lower_deps, eid
                 shared += not lower_deps
         assert shared > 0
 
@@ -254,7 +266,7 @@ class TestRegenerateVectorClocks:
         tuples of 144."""
         part = regenerate_vector_clocks(build_uniflow_partition(
             random_computation(seed=1, n=10, events=1000, p=0.3)))
-        distinct = {id(vc): vc for vc in part.uvc.values()}
+        distinct = {id(vc): vc for row in part.clock_rows for vc in row}
         assert part.n_u == 144
         assert len(distinct) == 396
         assert sum(map(len, distinct.values())) == 29_104
