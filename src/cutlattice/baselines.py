@@ -1,12 +1,15 @@
 """Reference enumerators used to cross-validate the rank traversal.
 
-``traditional_bfs`` is the classic level-by-level walk: keep the full set of
-cuts at the current rank, extend each by one enabled event, and deduplicate.
-Its storage grows with the widest level, which is exactly the behaviour the
-uniflow traversal exists to avoid; the stats expose the peak so tests can
-compare.  ``brute_force_downsets`` enumerates downsets of the dependency
-order directly by recursive extension and is the ground truth everything
-else is checked against.
+``traditional_bfs`` is the classic level-by-level walk (Cooper and Marzullo):
+keep the full set of cuts at the current rank, extend each by one enabled
+event, and deduplicate.  An event is enabled when the cut holds its direct
+dependencies on other processes, and a cut is keyed by an int code, so a
+duplicate successor is caught before its tuple is built.  Its storage grows
+with the widest level, which is exactly the behaviour the uniflow traversal
+exists to avoid; the stats expose the peak so tests can compare.
+``brute_force_downsets`` enumerates downsets of the dependency order directly
+by recursive extension and is the ground truth everything else is checked
+against.
 """
 
 from __future__ import annotations
@@ -43,9 +46,21 @@ def traditional_bfs(
     rank_filter: tuple[int, int] | None = None,
     max_stored_cuts: int | None = None,
 ) -> LevelBfsStats:
-    """Level-by-level enumeration with set-based duplicate suppression.
+    """Level-by-level enumeration with duplicate suppression by cut code.
 
-    Each level is visited in lexical order (highest chain most significant).
+    A level maps each cut's code to the cut.  The code is mixed radix, radix
+    ``length + 1`` per process with process ``n`` most significant, so the
+    successor that adds an event at process index ``i`` has code ``code +
+    strides[i]``.  At a consistent cut holding ``k`` events of a process,
+    its event ``k + 1`` is enabled iff the cut holds each of that event's
+    direct dependencies on other processes: the cut is a downset, so it
+    then holds their pasts too.
+
+    Each level is visited in ascending code order, which is lexical order
+    with the highest chain most significant.  It is expanded in the order
+    its cuts were generated, so where a capped run stops within a rank
+    depends only on the computation, not on tuple hashing.
+
     ``rank_filter`` restricts which ranks are *visited*; levels below the
     window are still expanded to reach it.  ``max_stored_cuts`` caps the
     number of simultaneously stored cuts, the start level's one cut
@@ -60,10 +75,28 @@ def traditional_bfs(
     if not 0 <= r1 <= r2 <= total:
         raise UsageError(f"rank range {r1}..{r2} invalid for {total} events")
     stats = LevelBfsStats()
-    lengths = comp.chain_lengths
-    rows = comp.clock_rows
     n = comp.n
-    level: set[Cut] = {(0,) * n}
+    lengths = comp.chain_lengths
+    events = comp.events
+    # needs[i][k]: (process index, position) of each direct dependency of
+    # event k+1 at process index i that sits on another process.
+    needs = [
+        [
+            tuple(
+                (p, events[d].vc[p])
+                for d in events[eid].deps
+                if (p := events[d].process - 1) != i
+            )
+            for eid in chain
+        ]
+        for i, chain in enumerate(comp.chains)
+    ]
+    strides = []
+    stride = 1
+    for length in lengths:
+        strides.append(stride)
+        stride *= length + 1
+    level: dict[int, Cut] = {0: (0,) * n}
     stats.peak_stored_cuts = 1
     if max_stored_cuts is not None and stats.peak_stored_cuts > max_stored_cuts:  # start level
         raise ResourceLimitError(
@@ -75,10 +108,12 @@ def traditional_bfs(
             stats.max_level_width = len(level)
         if rank >= r1:
             # Counted once per level, or up to the cut the visitor stopped at.
-            # The sorted copy is not named: kept alive while the level is
-            # expanded, it raised peak RSS by about 3 MiB at 28,879 cuts.
+            # The sorted list is not named: a named sorted copy of the level,
+            # kept alive while the level is expanded, raised peak RSS by about
+            # 3 MiB at 28,879 cuts.
             if visitor is not None:
-                for visited, cut in enumerate(sorted(level, key=lambda c: c[::-1]), start=1):
+                for visited, code in enumerate(sorted(level), start=1):
+                    cut = level[code]
                     if visitor(cut, rank, lambda _c=cut: _c) is False:
                         stats.cuts_visited += visited
                         stats.per_rank[rank] = visited
@@ -88,19 +123,18 @@ def traditional_bfs(
             stats.per_rank[rank] = len(level)
         if rank >= r2 or not level:
             break
-        nxt: set[Cut] = set()
-        for expanded, cut in enumerate(level, start=1):
+        nxt: dict[int, Cut] = {}
+        for expanded, (code, cut) in enumerate(level.items(), start=1):
             for i in range(n):
                 k = cut[i]
                 if k < lengths[i]:
-                    vc = rows[i][k]
-                    ok = True
-                    for j in range(n):
-                        if j != i and vc[j] > cut[j]:
-                            ok = False
+                    for j, pos in needs[i][k]:
+                        if cut[j] < pos:
                             break
-                    if ok:
-                        nxt.add(cut[:i] + (k + 1,) + cut[i + 1 :])
+                    else:
+                        succ = code + strides[i]
+                        if succ not in nxt:
+                            nxt[succ] = cut[:i] + (k + 1,) + cut[i + 1 :]
             stored = len(level) + len(nxt)
             if stored > stats.peak_stored_cuts:
                 stats.peak_stored_cuts = stored

@@ -393,9 +393,11 @@ def cmd_bench(args) -> int:
     # a window that does not fit a later trace loses no finished runs.
     batch = []
     for path in args.traces:
-        name, comp = _load_trace(path)
         try:
+            name, comp = _load_trace(path)
             windows = [(text, parse_rank_spec(text, comp.event_count)) for text in args.ranks]
+        except TraceError as exc:
+            raise TraceError(f"{path}: {exc}") from None
         except UsageError as exc:
             raise UsageError(f"{path}: {exc}") from None
         batch.append((name, comp, windows))

@@ -6,11 +6,13 @@ from __future__ import annotations
 import pytest
 
 from cutlattice.baselines import brute_force_downsets, traditional_bfs
+from cutlattice.cli import parse_predicate
 from cutlattice.model import (
     ResourceLimitError,
     UsageError,
     make_computation,
 )
+from cutlattice.traceio import GenSpec, generate_random
 from cutlattice.traversal import traverse_bfs
 from cutlattice.uniflow import build_uniflow_partition, regenerate_vector_clocks
 
@@ -112,6 +114,26 @@ class TestTraditionalBfs:
         pairs = []
         traditional_bfs(six_event, lambda c, r, m: pairs.append((c, m())) or True)
         assert all(c == m for c, m in pairs)
+
+    def test_benchmark_window_counters(self):
+        """The predicate benchmark's trace, window and predicate: every
+        counter and the match count are pinned."""
+        comp = generate_random(GenSpec(10, 30, 0.3, 1))
+        pred = parse_predicate("p1>=2 & p10<=1")
+        matches = 0
+
+        def count(cut, rank, remap_fn):
+            nonlocal matches
+            matches += pred.matches(cut, rank)
+
+        stats = traditional_bfs(comp, count, rank_filter=(0, 11))
+        assert stats.cuts_visited == 90_850
+        assert [stats.per_rank[r] for r in range(12)] == [
+            1, 10, 54, 207, 624, 1563, 3364, 6361, 10735, 16356, 22696, 28879,
+        ]
+        assert (stats.peak_stored_cuts, stats.max_level_width) == (51_575, 28_879)
+        assert sum(stats.expanded_per_rank.values()) == 61_971
+        assert matches == 16_497
 
 
 class TestBruteForceDownsets:

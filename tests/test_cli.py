@@ -528,6 +528,22 @@ class TestBench:
         assert captured.out == ""
         assert not csv_path.exists()
 
+    @pytest.mark.parametrize("text,error", [
+        ("n=1\n1 1\n1 1\n", "usage error: {path}: record 2: duplicate event id 1"),
+        ("n=1\n1 1\nx 1\n", "trace error: {path}: line 3: non-integer field in 'x 1'"),
+    ], ids=["record-rule", "syntax"])
+    def test_a_later_trace_that_fails_to_load_is_named(
+        self, six_event_path, tmp_path, capsys, text, error
+    ):
+        """A trace that breaks a record rule or does not parse exits 2
+        before any run, and the error names its file."""
+        bad = tmp_path / "bad.trace"
+        bad.write_text(text)
+        assert main(["bench", six_event_path, str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == error.format(path=bad) + "\n"
+        assert captured.out == ""
+
     def test_empty_trace_row(self, tmp_path, capsys):
         path = tmp_path / "empty.trace"
         path.write_text("n=2\n")

@@ -74,12 +74,37 @@ def test_trivial_partition_walk_matches_oracle(comp):
     check_walk(part, comp)
 
 
+def check_level_bfs(comp, expected, r1, r2):
+    """Over ranks ``r1..r2``, the level BFS visits the oracle's cuts in
+    (rank, highest chain most significant) order, and every counter is the
+    one the oracle's level sizes give: it expands each rank below ``r2``
+    whole and stores two adjacent levels at a time."""
+    seen = []
+    stats = traditional_bfs(
+        comp, lambda cut, r, remap_fn: seen.append((r, cut)), rank_filter=(r1, r2)
+    )
+    assert seen == [
+        (r, cut) for r in range(r1, r2 + 1) for cut in sorted(expected[r], key=lambda c: c[::-1])
+    ]
+    width = {r: len(expected[r]) for r in range(r2 + 1)}
+    assert stats.per_rank == {r: width[r] for r in range(r1, r2 + 1)}
+    assert stats.cuts_visited == len(seen)
+    assert stats.expanded_per_rank == {r: width[r] for r in range(r2)}
+    assert stats.max_level_width == max(width.values())
+    assert stats.peak_stored_cuts == max([1] + [width[r] + width[r + 1] for r in range(r2)])
+    assert not stats.early_stopped
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(computations())
-def test_level_bfs_matches_oracle(comp):
-    level: dict[int, set] = {}
-    traditional_bfs(comp, lambda cut, r, remap_fn: level.setdefault(r, set()).add(cut))
-    assert level == oracle_rank_sets(comp)
+@given(computations(), st.data())
+def test_level_bfs_matches_oracle(comp, data):
+    expected = oracle_rank_sets(comp)
+    top = comp.event_count
+    assert set(expected) == set(range(top + 1))
+    check_level_bfs(comp, expected, 0, top)
+    r1 = data.draw(st.integers(0, top), label="r1")
+    r2 = data.draw(st.integers(r1, top), label="r2")
+    check_level_bfs(comp, expected, r1, r2)
 
 
 def chain_counts(members, chain_of, width) -> list[int]:
