@@ -7,22 +7,27 @@ any rank slice, is enumerated without storing a level.
 
 The invariants :func:`traverse_rank_range` relies on, stated once here:
 
-- **Projection rows.**  A step that bumps chain ``i + 1`` takes as the new
-  lower part the componentwise max of the bumped event's lower clock and
-  the first ``i`` components of ``proj[i]``, and, but for the chain-2
-  step (below), stores it as the new ``proj[i]``.  Those components cover the lower clocks of the frontiers
-  that steps put on chains ``i + 1..n_u``.  They may miss a frontier that a
-  top-up, or a rank's seed, put on a chain up to the highest one it
-  reached, and no step needs it: the chains below that one are full,
-  bumping that one adds an event that covers the old frontier, and bumping
-  a higher chain replaces it.
+- **Projection rows.**  Each row is a lower clock packed like the stored
+  ones (:class:`~cutlattice.uniflow.ClockPacking`): component ``t`` in
+  field ``t``, guard bits clear.  A step that bumps chain ``i + 1`` takes
+  as the new lower part the packed max of the bumped event's lower clock
+  and the first ``i`` fields of ``proj[i]``, and, but for the chain-2 step
+  (below), stores it as the new ``proj[i]``.  The general scan unpacks it
+  once, for its sum, the cut and the top-up.  Those components cover the
+  lower clocks of the frontiers that steps put on chains ``i + 1..n_u``.
+  They may miss a frontier that a top-up, or a rank's seed, put on a chain
+  up to the highest one it reached, and no step needs it: the chains below
+  that one are full, bumping that one adds an event that covers the old
+  frontier, and bumping a higher chain replaces it.
 - **Rows may alias.**  A step that bumps chain ``i + 1`` changes chains
   ``1..i + 1`` only, so the rows above ``i`` stay valid.  The refresh at the
   top of the next visit points each stale row below at the row above, one
-  shared object, with no fold and no copy.  No row is mutated once stored,
-  and a step reads only the first ``i`` components of ``proj[i]``, so
-  sharing is sound, and the rows hold at most ``n_u * (n_u - 1) / 2`` ints
-  of their own (``proj[0]`` is never read).
+  shared int, with no fold and no copy.  A step reads only the first ``i``
+  fields of ``proj[i]``, so sharing is sound, and the rows hold at most
+  ``n_u * (n_u - 1) / 2`` components of their own (``proj[0]`` is never
+  read).  An aliased row holds more fields: the inline steps mask them
+  off, and in the general scan the packed max's guards, on ``i`` fields,
+  leave them out of its result.
 - **``proj[1]`` is never written by a step.**  Only the inline chain-2 step
   reads it.  Lower clocks are nondecreasing along a chain, so the event
   chain 2 bumps next covers the one it bumped: ``max(P, c_k, c_k+1) =
@@ -34,9 +39,10 @@ The invariants :func:`traverse_rank_range` relies on, stated once here:
   if that is lower.  A top-up starts at the lowest chain with room.
 - **Inline steps.**  The scan tests chain 2 in scalar code (one compare; a
   success moves one event from chain 1 to chain 2), then chain 3 (two
-  max-compares and a compare of sums; a success stores ``proj[2]`` as a
-  2-tuple and tops up chain 1, then chain 2), then hands over to the
-  general scan at chain 4.
+  max-compares and a compare of sums; a success stores ``proj[2]`` as two
+  fields and tops up chain 1, then chain 2), then hands over to the
+  general scan at chain 4.  They read fields with a shift and a mask;
+  chain 2's lower clock, one field, is its int.
 - **``remap()`` moves counts.**  The walk keeps the event counts of
   :func:`remap` for the cut of the last call, and moves them on the chains
   up to the highest one bumped since then (every chain after a rank's
@@ -71,17 +77,20 @@ class TraversalStats:
     successor step per visit, one fewer when the visitor stopped the walk
     there.
 
-    ``component_ops`` counts the walk's inner-loop vector-component
-    operations.  Every step path, inline or not, charges by one rule, so the
-    count is the plain successor loop's: a tested candidate costs one op per
-    component of its lower part (a full chain is not tested), a top-up one
-    per chain from chain 1 to the highest one it fills, the full chains
-    below its start included, and a remap one per event it adds or removes.
+    ``component_ops`` counts the vector components the walk's inner loop
+    handles, however it handles them.  Every step path, inline or not,
+    charges by one rule, so the count is the plain successor loop's: a
+    tested candidate costs one op per component of its lower part (a full
+    chain is not tested), though the walk builds that part with a packed
+    max of a few big-int operations; a top-up costs one per chain from
+    chain 1 to the highest one it fills, the full chains below its start
+    included, and a remap one per event it adds or removes.
 
     ``peak_live_cuts`` / ``aux_int_peak`` are the cut vectors and auxiliary
     integers the walk retains at once: the cut, the candidate's lower part
-    and, with a visitor, its snapshot; the triangular projection rows,
-    ``n_u * (n_u - 1) / 2``, an upper bound that aliased rows only lower;
+    and, with a visitor, its snapshot; the components of the triangular
+    projection rows, ``n_u * (n_u - 1) / 2``, an upper bound that aliased
+    rows only lower, each packed into a field of one int per row;
     and ``n + n_u`` once ``remap()`` has built the event counts and the cut
     they count.
     """
@@ -207,12 +216,19 @@ def traverse_rank_range(
             f"rank range {r1}..{r2} invalid for a computation of {part.event_count} events"
         )
     stats = TraversalStats()
-    rows = part.clock_rows  # raises UsageError if the clocks are not regenerated
+    rows = part.packed_rows  # raises UsageError if the clocks are not regenerated
     lengths = part.chain_lengths
     n_u = part.n_u
     n = part.source.n
-    # The projection rows; the last row stands for no chains.
-    proj: list[Sequence[int]] = [[]] * n_u + [[0] * n_u]
+    packing = part.packing
+    guards = packing.guards
+    w = packing.width
+    w1 = w - 1
+    field_mask = (1 << w) - 1
+    bytewise = packing.size == 1
+    unpack = packing.unpack
+    # The packed projection rows; the last row stands for no chains.
+    proj = [0] * (n_u + 1)
     proj_ints = n_u * (n_u - 1) // 2
     # Built on the first remap(): the events per process of the cut `seen`.
     counts: list[int] | None = None
@@ -261,10 +277,10 @@ def traverse_rank_range(
     bind = remap_visit.__get__  # bind(snap) is remap_visit bound to snap
 
     if n_u > 1:
-        rows1 = rows[1]  # chain 2's lower clocks, one component each
+        rows1 = rows[1]  # chain 2's lower clocks, one field each: the int is the component
         len1 = lengths[1]
     if n_u > 2:
-        rows2 = rows[2]  # chain 3's lower clocks, two components each
+        rows2 = rows[2]  # chain 3's lower clocks, two fields each
         len0 = lengths[0]
         len2 = lengths[2]
     upper = range(3, n_u)  # the general scan's chains after chain 3, 4..n_u
@@ -301,8 +317,8 @@ def traverse_rank_range(
                 k = g[1]
                 if k < len1:
                     ops += 1
-                    low = proj[1][0]
-                    c = rows1[k][0]
+                    low = proj[1] & field_mask  # proj[1] may alias a longer row
+                    c = rows1[k]
                     if c > low:
                         low = c
                     if low < g0:
@@ -326,17 +342,19 @@ def traverse_rank_range(
                 k = g[2]
                 if k < len2:
                     ops += 2
-                    p = proj[2]
-                    c0, c1 = rows2[k]
-                    l0 = p[0]
+                    p = proj[2]  # may alias a longer row
+                    c = rows2[k]
+                    l0 = p & field_mask
+                    c0 = c & field_mask
                     if c0 > l0:
                         l0 = c0
-                    l1 = p[1]
+                    l1 = p >> w & field_mask
+                    c1 = c >> w
                     if c1 > l1:
                         l1 = c1
                     low = l0 + l1
                     if low < pre:
-                        proj[2] = (l0, l1)
+                        proj[2] = l0 | l1 << w
                         g[2] = k + 1
                         d = pre - 1 - low
                         if not d:
@@ -364,22 +382,27 @@ def traverse_rank_range(
                 pre += g[i - 1]
                 ki = g[i]
                 if ki < lengths[i]:
-                    # The bumped event's lower clock holds exactly i
-                    # components, so zip stops there even where proj[i]
-                    # aliases a longer row.
-                    lower = [a if a > b else b for a, b in zip(proj[i], rows[i][ki])]
+                    # ClockPacking.max of proj[i] and the bumped event's
+                    # lower clock, inlined.  The guards of i fields keep the
+                    # max to those fields where proj[i] aliases a longer row.
+                    a = proj[i]
+                    b = rows[i][ki]
+                    guard = guards[i]
+                    m = ((a | guard) - b) & guard
+                    lower = b ^ ((a ^ b) & (m - (m >> w1)))
                     ops += i
-                    low = sum(lower)
+                    vals = lower.to_bytes(i, "little") if bytewise else unpack(lower, i)
+                    low = sum(vals)
                     if low < pre:
-                        g[:i] = lower
+                        g[:i] = vals
                         g[i] = ki + 1
                         proj[i] = lower
                         if low + 1 < pre:
                             # Chains 1..i held pre events before the step, so
                             # the top-up fits in them and a chain with room
                             # exists.
-                            t = 0 if lower[0] < lengths[0] else next(
-                                compress(count(), map(lt, lower, lengths)))
+                            t = 0 if vals[0] < lengths[0] else next(
+                                compress(count(), map(lt, vals, lengths)))
                             j = _fill_to_rank(g, pre - 1 - low, lengths, t)
                             ops += j
                         else:

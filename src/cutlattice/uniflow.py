@@ -30,13 +30,31 @@ events and their direct dependencies: each chain must be causally ordered,
 every event after the one below it, and no direct dependency may sit on a
 higher chain.  Causality is the transitive closure of the direct
 dependencies, so every causal path then only goes upward.
+
+Each lower clock is stored packed into one int (:class:`ClockPacking`).
+Component ``t`` (0-based) sits in bits ``[W*t, W*t + W)``.  A component
+counts events on one chain, so it is at most the longest chain, and ``W =
+8 * size`` for the smallest ``size`` in 1, 2, 4 or 8 bytes with ``longest <
+2**(W - 1)``: the top bit of every field, its guard, stays 0.  With ``G``
+the guards of the fields in use, three lines give the componentwise max of
+two packed clocks ``a`` and ``b``::
+
+    d = ((a | G) - b) & G       # a field's guard survives iff a >= b there
+    m = d - (d >> (W - 1))      # ... and spreads to the field's value bits
+    max = b ^ ((a ^ b) & m)     # a where m is set, b elsewhere
+
+Regeneration merges each lower dependency with one such max, and the
+walk's general scan takes one per tested candidate.  ``clock_rows`` decodes
+the table into tuples for every other reader.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .model import (
     Clock,
@@ -47,18 +65,83 @@ from .model import (
 
 
 @dataclass(frozen=True)
+class ClockPacking:
+    """How a lower clock over ``count`` or fewer chains packs into one int.
+
+    Component ``t`` (0-based) sits in bits ``[W*t, W*t + W)``, where the
+    field width ``W = 8 * size`` comes from :meth:`for_longest`.  The top
+    bit of each field is a guard that stored values leave at 0, which is
+    what lets :meth:`max` take a componentwise max in a few big-int
+    operations.
+    """
+
+    size: int  # bytes per field: 1, 2, 4 or 8
+    count: int  # the most fields a packed clock holds
+
+    @classmethod
+    def for_longest(cls, longest: int, count: int) -> ClockPacking:
+        """The narrowest fields whose values, at most ``longest``, leave
+        the guard bit clear: ``longest < 2**(W - 1)``.  No chain that fits
+        in memory is too long for 64-bit fields."""
+        for size in (1, 2, 4):
+            if longest < 1 << (8 * size - 1):
+                return cls(size, count)
+        return cls(8, count)
+
+    @property
+    def width(self) -> int:
+        return 8 * self.size
+
+    @cached_property
+    def guards(self) -> tuple[int, ...]:
+        """``guards[i]`` has the guard bit of each of the first ``i`` fields
+        set."""
+        w = self.width
+        ones = ((1 << w * self.count) - 1) // ((1 << w) - 1)  # bit 0 of each field
+        return tuple((ones & ((1 << w * i) - 1)) << (w - 1) for i in range(self.count + 1))
+
+    def max(self, a: int, b: int, guard: int) -> int:
+        """The componentwise max of two packed clocks with clear guard bits,
+        on the fields of ``guard``, one of :attr:`guards`.  ``b`` must hold
+        no other field; fields of ``a`` beyond them are left out of the
+        result.  Setting the guards of ``a`` and subtracting ``b`` leaves a
+        field's guard set iff its ``a`` component is at least its ``b``
+        component, and no field borrows from the next; the guards then
+        spread to a mask of those fields, which picks ``a`` there and ``b``
+        elsewhere (Lamport, "Multiple byte processing with full-word
+        instructions", CACM 1975)."""
+        d = ((a | guard) - b) & guard
+        return b ^ ((a ^ b) & (d - (d >> self.width - 1)))
+
+    def unpack(self, x: int, count: int) -> Sequence[int]:
+        """The first ``count`` components of ``x``, as a sequence of ints."""
+        raw = x.to_bytes(count * self.size, "little")
+        if self.size == 1:
+            return raw  # a bytes object iterates as its ints
+        fields = array(_TYPECODES[self.size], raw)
+        if sys.byteorder == "big":
+            fields.byteswap()
+        return fields
+
+
+# The array typecode of each field size, read from this platform.
+_TYPECODES = {array(code).itemsize: code for code in "QLIHB"}
+
+
+@dataclass(frozen=True)
 class UniflowPartition:
     """A repartition of a computation's events into ``n_u`` chains.
 
     ``chains[i]`` lists event ids in chain order for chain ``i + 1``.
     ``lower_rows[i][k]`` is the *lower clock* of the (k+1)-th event on chain
     ``i + 1``: the ``i`` components of its vector clock over the uniflow
-    chains that lie below its own chain.  The walk reads no other
-    component.  Events along a chain share one tuple until an event with a
-    dependency on a lower chain starts a new one.  ``lower_rows`` is
-    ``None`` until :func:`regenerate_vector_clocks` has run, and is read
-    through ``clock_rows``; :meth:`full_clock` gives the whole
-    ``n_u``-wide clock for display.
+    chains that lie below its own chain, packed into one int by
+    :attr:`packing`.  The walk reads no other component.  Events along a
+    chain share one int until an event with a dependency on a lower chain
+    starts a new one.  ``lower_rows`` is ``None`` until
+    :func:`regenerate_vector_clocks` has run.  ``clock_rows`` is the same
+    table decoded into tuples, for readers that are not the walk, and
+    :meth:`full_clock` gives the whole ``n_u``-wide clock for display.
     ``process_rows`` holds each event's 0-based source process, laid out like
     ``clock_rows``; it is what :func:`cutlattice.traversal.remap` and the
     walk's ``remap()`` count.
@@ -69,7 +152,7 @@ class UniflowPartition:
     source: Computation
     chains: tuple[tuple[int, ...], ...]
     chain_of: Mapping[int, int]
-    lower_rows: tuple[tuple[Clock, ...], ...] | None = None
+    lower_rows: tuple[tuple[int, ...], ...] | None = None
 
     @property
     def n_u(self) -> int:
@@ -84,6 +167,12 @@ class UniflowPartition:
         return tuple(len(c) for c in self.chains)
 
     @cached_property
+    def packing(self) -> ClockPacking:
+        """The packing of the lower clocks: no component exceeds the
+        longest chain, and none has more than ``n_u - 1`` fields."""
+        return ClockPacking.for_longest(max(self.chain_lengths, default=0), max(self.n_u - 1, 0))
+
+    @cached_property
     def process_rows(self) -> tuple[tuple[int, ...], ...]:
         """Per-chain source processes: ``process_rows[i][k]`` is the 0-based
         process of the (k+1)-th event on chain i+1, ``|E|`` ints in all."""
@@ -91,13 +180,25 @@ class UniflowPartition:
         return tuple(tuple(events[eid].process - 1 for eid in chain) for chain in self.chains)
 
     @property
-    def clock_rows(self) -> tuple[tuple[Clock, ...], ...]:
+    def packed_rows(self) -> tuple[tuple[int, ...], ...]:
         """The stored ``lower_rows``; requires regenerated vector clocks."""
         if self.lower_rows is None:
             raise UsageError(
                 "partition has no uniflow vector clocks; call regenerate_vector_clocks first"
             )
         return self.lower_rows
+
+    @cached_property
+    def clock_rows(self) -> tuple[tuple[Clock, ...], ...]:
+        """``packed_rows`` decoded: ``clock_rows[i][k]`` is the lower clock
+        of the (k+1)-th event on chain i+1 as an ``i``-tuple.  Equal clocks
+        on one chain share one tuple."""
+        unpack = self.packing.unpack
+        rows = []
+        for i, row in enumerate(self.packed_rows):
+            decoded = {x: tuple(unpack(x, i)) for x in set(row)}
+            rows.append(tuple(map(decoded.__getitem__, row)))
+        return tuple(rows)
 
     def full_clock(self, eid: int) -> Clock:
         """The event's whole vector clock over the ``n_u`` uniflow chains:
@@ -236,20 +337,25 @@ def regenerate_vector_clocks(part: UniflowPartition) -> UniflowPartition:
 
     The clocks are built chain by chain, bottom to top, which lists every
     predecessor first, and each is appended to its chain's row as it is
-    made.  An event with no dependency on a lower chain has the lower clock
-    of the event below it, and shares that tuple.  Any other event starts
-    from a copy of it (zeros at the bottom of a chain) and merges in each
-    lower dependency ``d`` on chain ``t``: ``d``'s lower clock,
-    ``rows[t - 1][position[d] - 1]``, on components ``1..t - 1`` and
-    ``d``'s position on component ``t``.
+    made, packed into one int by ``part.packing``.  An event with no
+    dependency on a lower chain has the lower clock of the event below it,
+    and shares that int.  Any other event starts from it (0 at the bottom
+    of a chain) and merges in each lower dependency ``d`` on chain ``t`` by
+    one packed max: ``d``'s lower clock, ``rows[t - 1][position[d] - 1]``,
+    on components ``1..t - 1`` and ``d``'s position on component ``t``.
     """
     events = part.source.events
     chain_of = part.chain_of
-    rows: list[tuple[Clock, ...]] = []
+    packing = part.packing
+    guards = packing.guards
+    w = packing.width
+    pmax = packing.max
+    rows: list[tuple[int, ...]] = []
     position: dict[int, int] = {}  # filled as the chains are walked
     for c, chain in enumerate(part.chains, start=1):
-        row: list[Clock] = []
-        low: Clock | None = None  # the lower clock of the event below
+        guard = guards[c - 1]
+        row: list[int] = []
+        low = 0  # the lower clock of the event below
         below: Event | None = None
         for k, eid in enumerate(chain, start=1):
             ev = events[eid]
@@ -260,25 +366,17 @@ def regenerate_vector_clocks(part: UniflowPartition) -> UniflowPartition:
                         f"event {eid} on chain {c} does not happen after event {below.id} "
                         "below it; the partition is not uniflow"
                     )
-            acc: list[int] | None = None
             for d in ev.deps:
                 t = chain_of[d]
                 if t < c:
-                    if acc is None:
-                        acc = [0] * (c - 1) if low is None else list(low)
                     p = position[d]
-                    acc[: t - 1] = [a if a > b else b for a, b in zip(acc, rows[t - 1][p - 1])]
-                    if p > acc[t - 1]:
-                        acc[t - 1] = p
+                    b = rows[t - 1][p - 1] | p << w * (t - 1)
+                    low = pmax(low, b, guard)
                 elif t > c:
                     raise UsageError(
                         f"event {eid} on chain {c} depends on event {d} on chain {t}, "
                         "a higher chain; the partition is not uniflow"
                     )
-            if acc is not None:
-                low = tuple(acc)
-            elif low is None:
-                low = (0,) * (c - 1)
             row.append(low)
             position[eid] = k
             below = ev

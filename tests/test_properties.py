@@ -19,7 +19,11 @@ from cutlattice.baselines import traditional_bfs
 from cutlattice.model import Computation, UsageError, happened_before, make_computation
 from cutlattice.traceio import parse_document, serialize_trace
 from cutlattice.traversal import traverse_bfs, traverse_rank_range
-from cutlattice.uniflow import build_uniflow_partition, regenerate_vector_clocks
+from cutlattice.uniflow import (
+    UniflowPartition,
+    build_uniflow_partition,
+    regenerate_vector_clocks,
+)
 
 from conftest import closure_predecessors, downset_event_sets, event_set_to_cut, oracle_rank_sets
 from reference import (
@@ -45,6 +49,29 @@ def computations(draw) -> Computation:
     return make_computation(n, records)
 
 
+def assert_clocks_count_the_past(part, past) -> None:
+    """Each decoded lower clock of ``part`` counts the event's causal past,
+    the event included, on the chains below its own; on its own chain the
+    past holds the event's position, and on every higher chain nothing.
+    ``past`` is ``closure_predecessors`` of the source computation."""
+    for c, chain in enumerate(part.chains, start=1):
+        for k, eid in enumerate(chain, start=1):
+            counts = chain_counts(past[eid] | {eid}, part.chain_of.__getitem__, part.n_u)
+            assert list(part.clock_rows[c - 1][k - 1]) == counts[: c - 1]
+            assert counts[c - 1:] == [k] + [0] * (part.n_u - c)
+
+
+def uniflow_clocks(part: UniflowPartition) -> UniflowPartition:
+    """``part`` with regenerated clocks, after the cheap facts every walk
+    rests on: regeneration accepts the partition, and its lower clocks
+    count the causal past.  Each walking property calls this before it
+    walks, so every example that shows a partitioner or regeneration fault
+    fails here, before any walk."""
+    regenerated = regenerate_vector_clocks(part)
+    assert_clocks_count_the_past(regenerated, closure_predecessors(part.source))
+    return regenerated
+
+
 def check_walk(part, comp):
     """The walk's remapped cuts are, rank by rank, exactly the consistent
     cuts of the source computation, and a count-only walk counts as many per
@@ -61,7 +88,7 @@ def check_walk(part, comp):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(computations())
 def test_online_partition_walk_matches_oracle(comp):
-    check_walk(regenerate_vector_clocks(build_uniflow_partition(comp)), comp)
+    check_walk(uniflow_clocks(build_uniflow_partition(comp)), comp)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -69,7 +96,7 @@ def test_online_partition_walk_matches_oracle(comp):
 def test_trivial_partition_walk_matches_oracle(comp):
     """One event per chain: n_u is the event count, so a seed or a bump of a
     high chain leaves the longest runs of stale rows aliasing one row."""
-    part = trivial_partition(comp)
+    part = uniflow_clocks(trivial_partition(comp))
     assert part.n_u == comp.event_count
     check_walk(part, comp)
 
@@ -133,11 +160,7 @@ def test_clocks_count_the_causal_past(comp):
         members = past[eid] | {eid}
         assert list(events[eid].vc) == chain_counts(members, lambda m: events[m].process, comp.n)
     for part in (regenerate_vector_clocks(build_uniflow_partition(comp)), trivial_partition(comp)):
-        for c, chain in enumerate(part.chains, start=1):
-            for k, eid in enumerate(chain, start=1):
-                counts = chain_counts(past[eid] | {eid}, part.chain_of.__getitem__, part.n_u)
-                assert list(part.clock_rows[c - 1][k - 1]) == counts[: c - 1]
-                assert counts[c - 1:] == [k] + [0] * (part.n_u - c)
+        assert_clocks_count_the_past(part, past)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -200,7 +223,9 @@ def test_remap_is_the_downsets_original_cut(comp):
     ended, returns the original-process cut of the visited downset.  The
     expected cut projects the downset's event set onto the processes, so it
     shares no code with the remap table or the one-shot remap."""
-    for part in (regenerate_vector_clocks(build_uniflow_partition(comp)), trivial_partition(comp)):
+    for part in (
+        uniflow_clocks(build_uniflow_partition(comp)), uniflow_clocks(trivial_partition(comp))
+    ):
         original = {
             event_set_to_cut(members, part): event_set_to_cut(members, comp)
             for members in downset_event_sets(comp)
@@ -228,8 +253,7 @@ def test_lazy_remap_delta_matches_oracle(data):
     The counts exist, and add ``n + n_u`` aux ints, only once it is called."""
     comp = data.draw(computations())
     trivial = data.draw(st.booleans())
-    part = trivial_partition(comp) if trivial else regenerate_vector_clocks(
-        build_uniflow_partition(comp))
+    part = uniflow_clocks(trivial_partition(comp) if trivial else build_uniflow_partition(comp))
     r1 = data.draw(st.integers(0, comp.event_count))
     r2 = data.draw(st.integers(r1, comp.event_count))
     policy = data.draw(st.sampled_from(["none", "first-of-rank", "every-k", "subset"]))
@@ -318,6 +342,6 @@ def test_trace_round_trip_gives_the_same_walk(comp):
     remapped cuts, as the computation it was written from."""
     doc = parse_document(serialize_trace(comp))
     back = make_computation(doc.n, doc.records)
-    assert walk(regenerate_vector_clocks(build_uniflow_partition(back))) == walk(
-        regenerate_vector_clocks(build_uniflow_partition(comp))
+    assert walk(uniflow_clocks(build_uniflow_partition(back))) == walk(
+        uniflow_clocks(build_uniflow_partition(comp))
     )

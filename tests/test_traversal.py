@@ -11,6 +11,7 @@ from collections import Counter
 
 import pytest
 
+from cutlattice.baselines import traditional_bfs
 from cutlattice.cli import parse_predicate
 from cutlattice.model import UsageError, is_consistent, make_computation
 from cutlattice.traceio import GenSpec, generate_random
@@ -24,6 +25,7 @@ from cutlattice.traversal import (
 from cutlattice.uniflow import build_uniflow_partition, regenerate_vector_clocks
 
 from conftest import (
+    closure_predecessors,
     downset_event_sets,
     event_set_to_cut,
     identity_partition,
@@ -315,30 +317,35 @@ class TestTraverseBfs:
         (98, 6, 20, 0.7),
     ])
     def test_projection_rows_match_compute_projections(self, seed, n, events, p):
-        """At every visit, row ``i`` of the walk's projection rows has at
-        least ``i`` components, and its first ``i`` are each at most those of
-        the row built from scratch.
+        """At every visit, row ``i`` of the walk's projection rows is a
+        packed clock with clear guard bits and at most ``n_u - 1`` fields,
+        and its first ``i`` components are each at most those of the row
+        built from scratch.
 
-        A stale row aliases the row above, so it can be longer than ``i``;
-        the step reads only its first ``i`` components.  The walk's refresh
+        A stale row aliases the row above, so it can hold more than ``i``
+        fields; the step reads only its first ``i``.  The walk's refresh
         never folds, so a row can hold less than the full projection: it
         misses the frontiers that only a top-up put in place, which no step
         reads.  It must never hold more, since the step takes every
         component it reads as covered by a retained frontier event.  The
         visitor reads the rows from the walk's frame, which calls it
-        directly.
+        directly, and decodes them with the partition's packing.
         """
         comp = random_computation(seed, n, events, p)
         part = prepared(comp)
         assert part.n_u >= 3
+        packing = part.packing
+        fields = (1 << packing.width * (part.n_u - 1)) - 1  # every bit of n_u - 1 fields
+        values = fields ^ packing.guards[-1]  # those a component may set
         checked = []
 
         def visitor(cut, r, remap_fn):
             proj = sys._getframe(1).f_locals["proj"][: part.n_u]  # drop the no-chains row
             expected = compute_projections(cut, part)
             for i, (row, full) in enumerate(zip(proj, expected)):
-                assert len(row) >= i, (cut, i, row)
-                assert all(a <= b for a, b in zip(row[:i], full)), (cut, i, row, full)
+                assert row & ~values == 0, (cut, i, row)
+                lower = packing.unpack(row & (1 << packing.width * i) - 1, i)
+                assert all(a <= b for a, b in zip(lower, full)), (cut, i, tuple(lower), full)
             checked.append(cut)
 
         stats = traverse_bfs(part, visitor)
@@ -388,16 +395,18 @@ class TestTraverseBfs:
         rank 3 (207 cuts), up to a fixed slack.
 
         Measured on Python 3.11 after a warm-up walk, in a plain script:
-        4,496 B at rank 3 and 4,896 B at rank 14 (n_u = 10).  A count-only
-        walk shows the same 400 B difference, so it is projection rows: at
-        rank 14 more of them hold a list of their own instead of aliasing
-        the row above.  Calling ``remap()`` adds 296 B at both ranks, the
-        event counts and the cut they describe, 20 ints in all.  The
-        original-clock table these replaced measured 4,848 B and 6,224 B in
-        the same script; the extra 976 B at rank 14 were table rows holding
-        a 10-int tuple of their own.  The slack allows five times today's difference;
-        retaining one small tuple per cut would exceed it by three orders of
-        magnitude.
+        about 3,050 B at rank 3 and 3,255 B at rank 14 (n_u = 10).  A
+        count-only walk shows the same 200 B difference, so it is projection
+        rows: at rank 14 more of them hold an int of their own instead of
+        aliasing the row above.  Calling ``remap()`` adds about 640 B at
+        both ranks; its event counts and the cut they describe are 20 ints.
+        With projection rows held as lists of components the same script
+        read 3,780 B and 4,170 B, a 400 B difference, and an earlier script
+        4,496 B and 4,896 B.  The original-clock table those replaced
+        measured 4,848 B and 6,224 B; the extra 976 B at rank 14 were table
+        rows holding a 10-int tuple of their own.  The slack
+        allows ten times today's difference; retaining one small tuple per
+        cut would exceed it by three orders of magnitude.
         """
         slack = 2048
         comp = generate_random(GenSpec(10, 30, 0.3, 1))
@@ -480,8 +489,9 @@ def test_top_e1000_alloc_peak():
 
     Measured on Python 3.11 in a plain script, three runs each: 99.9 KB
     when every stale row was its own slice of the row above, 21.2 KB with
-    stale rows aliasing the row above (n_u = 144).  The bound lies between
-    the two.
+    stale rows aliasing the row above (n_u = 144), and, in a later script,
+    20.0 KB with those rows as lists of components and 9.2 KB with each
+    row packed into one int.  The bound lies between the first two.
     """
     bound = 45_000
     spec, r1, r2, cuts, _, _ = BENCHMARK_WINDOWS["top-e1000"]
@@ -491,6 +501,33 @@ def test_top_e1000_alloc_peak():
     peak, stats = traced_walk_peak(part, r1, r2)
     assert stats.cuts_visited == cuts
     assert peak <= bound, peak
+
+
+@pytest.mark.slow
+def test_desk_alloc_peak_flat_at_scale():
+    """The space claim measured with tracemalloc where the level BFS fails:
+    on the desk trace of criterion 7, whose level BFS exceeds a
+    100,000-stored-cut cap at rank 13, a count-only walk of ranks 20..21
+    (467,378 cuts) peaks no higher than one of rank 3 (132 cuts), up to a
+    fixed slack, and under an absolute bound.
+
+    Measured on Python 3.11 after a warm-up walk, in a plain script: about
+    2,730 B at rank 3 and 3,240 B at ranks 20..21 (n_u = 21).  Under
+    tracemalloc the window takes about a minute, against under a second
+    untraced.  The slack allows four times the difference.  Retaining 40 of
+    the window's cuts, tuples of 21 ints at 216 B each, would exceed the
+    bound.
+    """
+    slack, bound = 2048, 8192
+    part = prepared(generate_random(GenSpec(10, 100, 0.3, 6)))
+    traced_walk_peak(part, 3, 3)  # warm-up: first-call allocations of the interpreter
+    small, stats = traced_walk_peak(part, 3, 3)
+    assert stats.cuts_visited == 132
+    large, stats = traced_walk_peak(part, 20, 21)
+    assert stats.cuts_visited == 467_378
+    assert stats.aux_int_peak == proj_ints(part) == 210
+    assert large <= small + slack, (small, large)
+    assert large <= bound, large
 
 
 # Of each window's successor steps, how many bump chain 2, the ones the walk
@@ -673,6 +710,49 @@ class TestWalkEdgeCases:
         assert original_sets == oracle_rank_sets(comp)
         assert stats.peak_live_cuts <= 3
         assert stats.aux_int_peak == proj_ints(part) + comp.n + part.n_u
+
+
+class TestWideFields:
+    """A trace whose longest uniflow chain, 129 events, does not fit the
+    guard of an 8-bit field, so the lower clocks pack into 16-bit fields
+    and the general scan unpacks them through an ``array``."""
+
+    SPEC = GenSpec(2, 300, 0.02, 4)
+
+    def test_walk_matches_plain_loop_and_level_bfs(self):
+        """The walk's per-rank cuts and ``component_ops`` equal the plain
+        min-cut/successor loop's, which reads the decoded tuples, and its
+        remapped originals equal the level BFS's cuts, rank by rank."""
+        comp = generate_random(self.SPEC)
+        part = prepared(comp)
+        assert part.chain_lengths == (11, 21, 89, 129, 50)
+        assert part.packing.size == 2
+        plain = assert_walk_matches_plain(part, 0, part.event_count)
+        assert len(plain.cuts) == 7_350
+        assert plain.bumped[4] and plain.bumped[5]  # steps the general scan takes
+        seen, _ = collect(part)
+        walked: dict[int, list] = {}
+        for r, _, original in seen:
+            walked.setdefault(r, []).append(original)
+        levels: dict[int, list] = {}
+        traditional_bfs(comp, lambda cut, r, remap_fn: levels.setdefault(r, []).append(cut))
+        assert {r: sorted(c) for r, c in walked.items()} == {
+            r: sorted(c) for r, c in levels.items()}
+
+    def test_clock_rows_count_the_causal_past(self):
+        """Each decoded lower clock counts the event's causal past, the
+        event included, on each chain below its own."""
+        comp = generate_random(self.SPEC)
+        part = prepared(comp)
+        past = closure_predecessors(comp)
+        for c, (chain, row) in enumerate(zip(part.chains, part.clock_rows), start=1):
+            for eid, clock in zip(chain, row):
+                counts = [0] * (c - 1)
+                for m in past[eid]:
+                    t = part.chain_of[m]
+                    if t < c:
+                        counts[t - 1] += 1
+                assert clock == tuple(counts), eid
 
 
 class TestTraverseRankRange:

@@ -18,6 +18,7 @@ from cutlattice.model import (
 from cutlattice.traceio import GenSpec, generate_random
 from cutlattice.traversal import remap
 from cutlattice.uniflow import (
+    ClockPacking,
     PartitionerState,
     UniflowPartition,
     build_uniflow_partition,
@@ -234,10 +235,16 @@ class TestRegenerateVectorClocks:
         assert lower_clock(part, 1) == ()
 
     def test_clock_rows_are_the_stored_rows(self, three_chain):
-        """Regeneration writes the rows; ``clock_rows`` only reads them."""
+        """Regeneration writes the packed rows, component ``t`` of a lower
+        clock in bits ``[8t, 8t + 8)``; ``clock_rows`` decodes them once,
+        and, like the walk, refuses a partition without them."""
         part = identity_partition(three_chain)
-        assert part.clock_rows is part.lower_rows
+        assert part.packing.width == 8
+        assert part.lower_rows == ((0,) * 3, (0, 0, 1), (2 << 8, 2 << 8, 2 | 2 << 8))
+        assert part.clock_rows is part.clock_rows
         assert part.clock_rows == (((),) * 3, ((0,), (0,), (1,)), ((0, 2), (0, 2), (2, 2)))
+        with pytest.raises(UsageError, match="no uniflow vector clocks"):
+            build_uniflow_partition(three_chain).clock_rows
 
     def test_position_invariant(self):
         comp = random_computation(seed=21, n=4, events=16, p=0.4)
@@ -248,28 +255,39 @@ class TestRegenerateVectorClocks:
                 assert part.full_clock(eid)[ci - 1] == k
 
     def test_chain_shares_its_lower_clock(self):
-        """An event with no dependency on a lower chain holds the very tuple
-        of the event below it; any other event holds a new one."""
+        """An event with no dependency on a lower chain holds the very int
+        of the event below it; any other event holds a new one.  CPython
+        keeps one object for each int up to 256, so an event whose new
+        clock equals a small one below it holds that object."""
         comp = random_computation(seed=6, n=10, events=100, p=0.3)
         part = regenerate_vector_clocks(build_uniflow_partition(comp))
-        shared = 0
-        for ci, (chain, row) in enumerate(zip(part.chains, part.clock_rows), start=1):
+        shared = fresh = 0
+        for ci, (chain, row) in enumerate(zip(part.chains, part.lower_rows), start=1):
             for k, eid in enumerate(chain[1:], start=1):
                 lower_deps = any(part.chain_of[d] < ci for d in comp.events[eid].deps)
-                assert (row[k] is row[k - 1]) is not lower_deps, eid
-                shared += not lower_deps
-        assert shared > 0
+                if lower_deps:
+                    assert row[k] is not row[k - 1] or row[k] <= 256, eid
+                    fresh += row[k] > 256
+                else:
+                    assert row[k] is row[k - 1], eid
+                    shared += 1
+        assert shared > 0 and fresh > 0
 
     def test_top_e1000_clock_table(self):
-        """At the benchmark's ``top-e1000`` trace the lower clocks take 396
-        distinct tuples and 29,104 ints, where the full clocks took 1000
-        tuples of 144."""
+        """At the benchmark's ``top-e1000`` trace the lower clocks are 396
+        distinct values over their rows, one byte per component, held in
+        387 int objects (CPython keeps one object for each small int, so
+        the zero clocks of ten rows are one) with 28,284 bytes of fields up
+        to their highest nonzero byte.  Stored as tuples they took 396 tuples of
+        29,104 ints, and the full clocks 1000 tuples of 144."""
         part = regenerate_vector_clocks(build_uniflow_partition(
             random_computation(seed=1, n=10, events=1000, p=0.3)))
-        distinct = {id(vc): vc for row in part.clock_rows for vc in row}
         assert part.n_u == 144
-        assert len(distinct) == 396
-        assert sum(map(len, distinct.values())) == 29_104
+        assert part.packing.width == 8
+        assert sum(len(set(row)) for row in part.lower_rows) == 396
+        distinct = {id(x): x for row in part.lower_rows for x in row}
+        assert len(distinct) == 387
+        assert sum((x.bit_length() + 7) // 8 for x in distinct.values()) == 28_284
 
     def test_crossing_process_chains_rejected(self, crossing):
         # event 4 (P1#2) receives from event 2 (P2#1), one chain higher
@@ -288,6 +306,37 @@ class TestRegenerateVectorClocks:
         with pytest.raises(UsageError, match=r"event 4 on chain 2 does not happen after event 5 below it"):
             regenerate_vector_clocks(part)
 
+
+
+def pack(values, width: int) -> int:
+    """``values`` packed by shifts, component ``t`` at bit ``width * t``:
+    the layout :class:`ClockPacking` states, written out directly."""
+    return sum(v << width * t for t, v in enumerate(values))
+
+
+class TestClockPacking:
+    @pytest.mark.parametrize("longest,size", [
+        (127, 1), (128, 2), (32_767, 2), (32_768, 4), (2**31 - 1, 4), (2**31, 8),
+    ])
+    def test_width_boundaries(self, longest, size):
+        """The fields are the narrowest whose guard bit stays clear for
+        values up to the longest chain.  At each boundary, ``unpack`` inverts
+        the layout, and ``max`` is the componentwise max, the largest value
+        included, also with an operand of fewer fields, and, on fewer
+        guards, of the fields those guards cover."""
+        packing = ClockPacking.for_longest(longest, 4)
+        assert packing.size == size
+        w = packing.width
+        a = (longest, 0, longest - 1, 1)
+        b = (longest - 1, longest, longest, 0)
+        for v in (a, b):
+            assert tuple(packing.unpack(pack(v, w), 4)) == v
+        top = packing.max(pack(a, w), pack(b, w), packing.guards[4])
+        assert tuple(packing.unpack(top, 4)) == (longest, longest, longest, 1)
+        top = packing.max(pack(a, w), pack(b[:2], w), packing.guards[4])
+        assert tuple(packing.unpack(top, 4)) == (longest, longest, longest - 1, 1)
+        top = packing.max(pack(a, w), pack(b[:2], w), packing.guards[2])
+        assert top == pack((longest, longest), w)
 
 
 def checked_uniflow(part) -> bool:
