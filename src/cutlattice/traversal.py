@@ -20,29 +20,40 @@ The invariants :func:`traverse_rank_range` relies on, stated once here:
   that one are full, bumping that one adds an event that covers the old
   frontier, and bumping a higher chain replaces it.
 - **Rows may alias.**  A step that bumps chain ``i + 1`` changes chains
-  ``1..i + 1`` only, so the rows above ``i`` stay valid.  The refresh at the
-  top of the next visit points each stale row below at the row above, one
-  shared int, with no fold and no copy.  A step reads only the first ``i``
-  fields of ``proj[i]``, so sharing is sound, and the rows hold at most
-  ``n_u * (n_u - 1) / 2`` components of their own (``proj[0]`` is never
-  read).  An aliased row holds more fields: the inline steps mask them
-  off, and in the general scan the packed max's guards, on ``i`` fields,
-  leave them out of its result.
-- **``proj[1]`` is never written by a step.**  Only the inline chain-2 step
-  reads it.  Lower clocks are nondecreasing along a chain, so the event
-  chain 2 bumps next covers the one it bumped: ``max(P, c_k, c_k+1) =
-  max(P, c_k+1)``.  The refresh rewrites it after a step above chain 2.
+  ``1..i + 1`` only, so the rows above ``i`` stay valid, and the stale rows
+  below it, ``1..top - 1`` with ``top = i``, stand for ``proj[top]``.  The
+  refresh at the top of the next visit points only the stale rows the next
+  scan can read at ``proj[top]``, one shared int, with no fold and no copy:
+  rows ``j - 1`` up for a scan from chain ``j``, or from row 1 when the
+  scan starts at chain 2.  A row it leaves stale is pointed at
+  ``proj[top]`` before any later scan reaches it.  A step reads only the
+  first ``i`` fields of ``proj[i]``, so sharing is sound, and the rows hold
+  at most ``n_u * (n_u - 1) / 2`` components of their own (``proj[0]`` is
+  never read).  An aliased row holds more fields: the inline steps mask
+  them off, and in the general scan the packed max's guards, on ``i``
+  fields, leave them out of its result.
+- **The chain-2 step never writes ``proj[1]``.**  Only that step reads it.
+  Lower clocks are nondecreasing along a chain, so the event chain 2 bumps
+  next covers the one it bumped: ``max(P, c_k, c_k+1) = max(P, c_k+1)``.
+  A chain-3 step points it at its new ``proj[2]`` itself; after a step
+  above chain 3, the refresh rewrites it before the chain-2 step next reads
+  it.
 - **A step skips only full chains,** so it takes the steps of the plain
   :func:`get_successor`.  A top-up, like a rank's seed, fills chains from
   the bottom and leaves every chain below the highest one it reached, chain
   ``j``, full.  The next candidate scan starts at chain ``j``, or at chain 2
-  if that is lower.  A top-up starts at the lowest chain with room.
+  if that is lower, and the events on the full chains below it are one
+  lookup, ``part.full_below``.  A top-up starts at the lowest chain with
+  room: chain 1 by one compare, or else the lowest field of the candidate
+  below its length, by the packed compare of
+  :meth:`~cutlattice.uniflow.ClockPacking.max` against
+  ``part.packed_lengths``.
 - **Inline steps.**  The scan tests chain 2 in scalar code (one compare; a
   success moves one event from chain 1 to chain 2), then chain 3 (two
   max-compares and a compare of sums; a success stores ``proj[2]`` as two
-  fields and tops up chain 1, then chain 2), then hands over to the
-  general scan at chain 4.  They read fields with a shift and a mask;
-  chain 2's lower clock, one field, is its int.
+  fields, shared by ``proj[1]``, and tops up chain 1, then chain 2), then
+  hands over to the general scan at chain 4.  They read fields with a
+  shift and a mask; chain 2's lower clock, one field, is its int.
 - **``remap()`` moves counts.**  The walk keeps the event counts of
   :func:`remap` for the cut of the last call, and moves them on the chains
   up to the highest one bumped since then (every chain after a rank's
@@ -59,8 +70,6 @@ Returning ``False`` stops the walk; any other value continues it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress, count
-from operator import lt
 from typing import Sequence
 
 from .model import Cut, UsageError, Visitor, is_consistent
@@ -218,6 +227,8 @@ def traverse_rank_range(
     stats = TraversalStats()
     rows = part.packed_rows  # raises UsageError if the clocks are not regenerated
     lengths = part.chain_lengths
+    full_below = part.full_below
+    packed_lengths = part.packed_lengths
     n_u = part.n_u
     n = part.source.n
     packing = part.packing
@@ -293,9 +304,13 @@ def traverse_rank_range(
         stale = n_u
         visits = 0
         while True:
-            # Point the stale rows at the row above (module docstring).
+            # Point the stale rows the next scan can read at the row above
+            # (module docstring); it reads none below row j - 1.
             if top > 1:
-                proj[1:top] = [proj[top]] * (top - 1)
+                lo = j - 1 if j > 2 else 1
+                if lo < top:
+                    proj[lo:top] = [proj[top]] * (top - lo)
+                    top = lo
             visits += 1
             if visitor is not None:
                 current = snap = tuple(g)
@@ -329,7 +344,7 @@ def traverse_rank_range(
                             j = 1
                         else:
                             j = 0
-                        top = 1  # chains 1..2 changed; no row is stale
+                        # Chains 1..2 changed; top is 1, as the refresh left it.
                         if stale < 2:
                             stale = 2
                         continue
@@ -354,7 +369,11 @@ def traverse_rank_range(
                         l1 = c1
                     low = l0 + l1
                     if low < pre:
-                        proj[2] = l0 | l1 << w
+                        # Chains 1..3 changed.  Row 1 would be stale: point it
+                        # at the new row 2 now, so the next visit needs no
+                        # refresh (top is 1 unless the scan started at chain
+                        # 3; then the refresh rewrites the same int).
+                        proj[1] = proj[2] = l0 | l1 << w
                         g[2] = k + 1
                         d = pre - 1 - low
                         if not d:
@@ -370,13 +389,12 @@ def traverse_rank_range(
                             g[1] = l1 + d - (len0 - l0)
                             j = 2
                         ops += j
-                        top = 2  # chains 1..3 changed, so row 1 is stale
                         if stale < 3:
                             stale = 3
                         continue
                 scan = upper
             else:
-                pre = sum(g[: j - 2])
+                pre = full_below[j - 2]  # chains 1..j - 1 are full
                 scan = range(j - 1, n_u)
             for i in scan:
                 pre += g[i - 1]
@@ -400,9 +418,13 @@ def traverse_rank_range(
                         if low + 1 < pre:
                             # Chains 1..i held pre events before the step, so
                             # the top-up fits in them and a chain with room
-                            # exists.
-                            t = 0 if vals[0] < lengths[0] else next(
-                                compress(count(), map(lt, vals, lengths)))
+                            # exists: the lowest field whose guard the packed
+                            # compare with the chain lengths clears.
+                            if vals[0] < lengths[0]:
+                                t = 0
+                            else:
+                                room = guard ^ (((lower | guard) - packed_lengths) & guard)
+                                t = (room & -room).bit_length() // w - 1
                             j = _fill_to_rank(g, pre - 1 - low, lengths, t)
                             ops += j
                         else:

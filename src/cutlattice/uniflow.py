@@ -44,7 +44,8 @@ two packed clocks ``a`` and ``b``::
     max = b ^ ((a ^ b) & m)     # a where m is set, b elsewhere
 
 Regeneration merges each lower dependency with one such max, and the
-walk's general scan takes one per tested candidate.  ``clock_rows`` decodes
+walk's general scan takes one per tested candidate; its top-up takes the
+first line alone against the packed chain lengths.  ``clock_rows`` decodes
 the table into tuples for every other reader.
 """
 
@@ -54,6 +55,7 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 from .model import (
@@ -104,10 +106,16 @@ class ClockPacking:
         """The componentwise max of two packed clocks with clear guard bits,
         on the fields of ``guard``, one of :attr:`guards`.  ``b`` must hold
         no other field; fields of ``a`` beyond them are left out of the
-        result.  Setting the guards of ``a`` and subtracting ``b`` leaves a
-        field's guard set iff its ``a`` component is at least its ``b``
-        component, and no field borrows from the next; the guards then
-        spread to a mask of those fields, which picks ``a`` there and ``b``
+        result.
+
+        The first line is a compare: setting the guards of ``a`` and
+        subtracting ``b`` leaves a field's guard set iff its ``a``
+        component is at least its ``b`` component, and no field borrows
+        from the next.  A borrow only moves up, so for the compare alone
+        ``b`` may hold fields beyond the guards: the walk compares a
+        candidate with the packed chain lengths that way, to find its
+        lowest field below its chain's length.  In the max the guards spread
+        to a mask of those fields, which picks ``a`` there and ``b``
         elsewhere (Lamport, "Multiple byte processing with full-word
         instructions", CACM 1975)."""
         d = ((a | guard) - b) & guard
@@ -167,10 +175,24 @@ class UniflowPartition:
         return tuple(len(c) for c in self.chains)
 
     @cached_property
+    def full_below(self) -> tuple[int, ...]:
+        """``full_below[k]`` is the number of events on chains ``1..k``: the
+        rank of the first ``k`` components of a cut whose chains ``1..k``
+        are full."""
+        return tuple(accumulate(self.chain_lengths, initial=0))
+
+    @cached_property
     def packing(self) -> ClockPacking:
         """The packing of the lower clocks: no component exceeds the
         longest chain, and none has more than ``n_u - 1`` fields."""
         return ClockPacking.for_longest(max(self.chain_lengths, default=0), max(self.n_u - 1, 0))
+
+    @cached_property
+    def packed_lengths(self) -> int:
+        """The lengths of chains ``1..n_u - 1``, packed like a lower clock,
+        for the packed compare of :meth:`ClockPacking.max`."""
+        w = self.packing.width
+        return sum(n << w * t for t, n in enumerate(self.chain_lengths[:-1]))
 
     @cached_property
     def process_rows(self) -> tuple[tuple[int, ...], ...]:

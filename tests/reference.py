@@ -4,8 +4,9 @@
 directly from the uniflow clocks, each padded to its full width.  The walk in
 :func:`cutlattice.traversal.traverse_rank_range` keeps these rows
 incrementally: a row a step wrote holds only the components the next step
-reads, and a stale row aliases the row above, so the walk's rows are checked
-against these only up to the prefix the walk reads.
+reads, and a stale row aliases the row above, or, below the rows the next
+scan reads, still holds an older row, so the walk's rows are checked against
+these only at the row the walk reads and up to the prefix it reads.
 
 ``fold_clocks_per_component`` is the plain vector-clock fold, one compare
 per component of every predecessor, that the clocks of

@@ -40,7 +40,10 @@ MAX_EVENTS = 14  # keeps the downset oracle cheap: at most 2**14 event sets
 def computations(draw) -> Computation:
     n = draw(st.integers(1, 5))
     count = draw(st.integers(0, MAX_EVENTS))
-    ids = draw(st.lists(st.integers(0, 10**6), min_size=count, max_size=count, unique=True))
+    # Distinct sparse ids in 0..10**6 with no rejected draws: running sums of
+    # positive gaps, then shuffled out of record order.
+    gaps = draw(st.lists(st.integers(1, 10**6 // MAX_EVENTS), min_size=count, max_size=count))
+    ids = draw(st.permutations([total - 1 for total in itertools.accumulate(gaps)]))
     records = []
     for k, eid in enumerate(ids):
         process = draw(st.integers(1, n))

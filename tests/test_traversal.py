@@ -312,44 +312,65 @@ class TestTraverseBfs:
         seen, _ = collect(part)
         assert [(r, cut) for r, cut, _ in seen] == plain_walk(part)
 
+    @staticmethod
+    def check_projection_rows(part, r1, r2):
+        """At every visit of ranks ``r1..r2``, the row the walk reads at
+        index ``i``, ``proj[max(i, top)]``, is a packed clock with clear
+        guard bits and at most ``n_u - 1`` fields, and its first ``i``
+        components are each at most those of the row built from scratch.
+        Returns the number of visits at which some row below ``top`` is
+        left stale, holding other than ``proj[top]``.
+
+        The refresh points only the rows from ``j - 1`` up at the row
+        above, so a row below ``top`` may be stale: the walk reads
+        ``proj[top]`` there, once a later refresh has pointed it there.  A
+        row can alias a higher one, so it can hold more than ``i`` fields;
+        the step reads only its first ``i``.  The walk's refresh never
+        folds, so a row can hold less than the full projection: it misses
+        the frontiers that only a top-up put in place, which no step reads.
+        It must never hold more, since the step takes every component it
+        reads as covered by a retained frontier event.  The visitor reads
+        ``proj`` and ``top`` from the walk's frame, which calls it directly,
+        and decodes the rows with the partition's packing.
+        """
+        packing = part.packing
+        fields = (1 << packing.width * (part.n_u - 1)) - 1  # every bit of n_u - 1 fields
+        values = fields ^ packing.guards[-1]  # those a component may set
+        checked = []
+        stale_visits = 0
+
+        def visitor(cut, r, remap_fn):
+            nonlocal stale_visits
+            frame = sys._getframe(1).f_locals
+            proj, top = frame["proj"], frame["top"]
+            expected = compute_projections(cut, part)
+            for i, full in enumerate(expected):
+                row = proj[max(i, top)]
+                assert row & ~values == 0, (cut, i, row)
+                lower = packing.unpack(row & (1 << packing.width * i) - 1, i)
+                assert all(a <= b for a, b in zip(lower, full)), (cut, i, tuple(lower), full)
+            stale_visits += any(proj[i] != proj[top] for i in range(1, top))
+            checked.append(cut)
+
+        stats = traverse_rank_range(part, r1, r2, visitor)
+        assert len(checked) == stats.cuts_visited
+        return stale_visits
+
     @pytest.mark.parametrize("seed,n,events,p", [
         (97, 4, 20, 0.3),
         (98, 6, 20, 0.7),
     ])
     def test_projection_rows_match_compute_projections(self, seed, n, events, p):
-        """At every visit, row ``i`` of the walk's projection rows is a
-        packed clock with clear guard bits and at most ``n_u - 1`` fields,
-        and its first ``i`` components are each at most those of the row
-        built from scratch.
-
-        A stale row aliases the row above, so it can hold more than ``i``
-        fields; the step reads only its first ``i``.  The walk's refresh
-        never folds, so a row can hold less than the full projection: it
-        misses the frontiers that only a top-up put in place, which no step
-        reads.  It must never hold more, since the step takes every
-        component it reads as covered by a retained frontier event.  The
-        visitor reads the rows from the walk's frame, which calls it
-        directly, and decodes them with the partition's packing.
-        """
-        comp = random_computation(seed, n, events, p)
-        part = prepared(comp)
+        part = prepared(random_computation(seed, n, events, p))
         assert part.n_u >= 3
-        packing = part.packing
-        fields = (1 << packing.width * (part.n_u - 1)) - 1  # every bit of n_u - 1 fields
-        values = fields ^ packing.guards[-1]  # those a component may set
-        checked = []
+        self.check_projection_rows(part, 0, part.event_count)
 
-        def visitor(cut, r, remap_fn):
-            proj = sys._getframe(1).f_locals["proj"][: part.n_u]  # drop the no-chains row
-            expected = compute_projections(cut, part)
-            for i, (row, full) in enumerate(zip(proj, expected)):
-                assert row & ~values == 0, (cut, i, row)
-                lower = packing.unpack(row & (1 << packing.width * i) - 1, i)
-                assert all(a <= b for a, b in zip(lower, full)), (cut, i, tuple(lower), full)
-            checked.append(cut)
-
-        stats = traverse_bfs(part, visitor)
-        assert len(checked) == stats.cuts_visited
+    def test_projection_rows_match_in_a_wide_rank_window(self):
+        """Near the top of the desk trace a top-up leaves most chains full,
+        so the next scan starts high and the refresh leaves rows below it
+        stale; the rows the walk reads must still hold."""
+        part = prepared(generate_random(GenSpec(10, 100, 0.3, 6)))
+        assert self.check_projection_rows(part, 95, 100) > 0
 
     def test_space_accounting(self):
         comp = random_computation(seed=94, n=4, events=20, p=0.3)
@@ -491,7 +512,10 @@ def test_top_e1000_alloc_peak():
     when every stale row was its own slice of the row above, 21.2 KB with
     stale rows aliasing the row above (n_u = 144), and, in a later script,
     20.0 KB with those rows as lists of components and 9.2 KB with each
-    row packed into one int.  The bound lies between the first two.
+    row packed into one int.  Refreshing only the rows the next scan reads
+    and finding the top-up's start by a packed compare read 9.6 KB: the
+    compare's intermediates are ints about as wide as a row.  The bound
+    lies between the first two.
     """
     bound = 45_000
     spec, r1, r2, cuts, _, _ = BENCHMARK_WINDOWS["top-e1000"]
