@@ -11,7 +11,6 @@ from cutlattice import (
     build_uniflow_partition,
     format_cut,
     generate_random,
-    regenerate_vector_clocks,
     traditional_bfs,
     traverse_bfs,
     traverse_rank_range,
@@ -19,7 +18,7 @@ from cutlattice import (
 
 spec = GenSpec(n=6, total_events=24, message_probability=0.3, seed=12)
 comp = generate_random(spec)
-part = regenerate_vector_clocks(build_uniflow_partition(comp))
+part = build_uniflow_partition(comp)
 total = comp.event_count
 r = total // 2
 

@@ -1,6 +1,6 @@
 """Rank-by-rank traversal of the consistent-cut lattice in constant cut storage.
 
-The walk runs over a uniflow partition with regenerated lower clocks.  Each
+The walk runs over the packed lower clocks of a uniflow partition.  Each
 rank starts at its lexically smallest consistent cut and steps to the
 lexical successor at the same rank until there is none, so the lattice, or
 any rank slice, is enumerated without storing a level.
@@ -225,7 +225,7 @@ def traverse_rank_range(
             f"rank range {r1}..{r2} invalid for a computation of {part.event_count} events"
         )
     stats = TraversalStats()
-    rows = part.packed_rows  # raises UsageError if the clocks are not regenerated
+    rows = part.lower_rows  # raises UsageError unless the partition is uniflow
     lengths = part.chain_lengths
     full_below = part.full_below
     packed_lengths = part.packed_lengths

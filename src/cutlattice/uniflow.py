@@ -21,15 +21,16 @@ A partition also lists, chain by chain, the source process of every event
 events, so counting its events per process along those rows gives the
 original cut; that is how both remaps translate a uniflow cut back.
 
-:func:`regenerate_vector_clocks` gives each event its vector clock over the
+``UniflowPartition.lower_rows`` gives each event its vector clock over the
 uniflow chains, of which it stores only the *lower clock*: the components on
 the chains below the event's own.  That is all the walk reads, and on a
 uniflow partition the rest is fixed (the event's position, then zeros).
-Regeneration is also the one check of the property, in time linear in the
-events and their direct dependencies: each chain must be causally ordered,
-every event after the one below it, and no direct dependency may sit on a
-higher chain.  Causality is the transitive closure of the direct
-dependencies, so every causal path then only goes upward.
+Building the table, once, on first read, is also the one check of the
+property, in time linear in the events and their direct dependencies: each
+chain must be causally ordered, every event after the one below it, and no
+direct dependency may sit on a higher chain.  Causality is the transitive
+closure of the direct dependencies, so every causal path then only goes
+upward.  :func:`regenerate_vector_clocks` builds it ahead of a walk.
 
 Each lower clock is stored packed into one int (:class:`ClockPacking`).
 Component ``t`` (0-based) sits in bits ``[W*t, W*t + W)``.  A component
@@ -146,21 +147,20 @@ class UniflowPartition:
     chains that lie below its own chain, packed into one int by
     :attr:`packing`.  The walk reads no other component.  Events along a
     chain share one int until an event with a dependency on a lower chain
-    starts a new one.  ``lower_rows`` is ``None`` until
-    :func:`regenerate_vector_clocks` has run.  ``clock_rows`` is the same
-    table decoded into tuples, for readers that are not the walk, and
-    :meth:`full_clock` gives the whole ``n_u``-wide clock for display.
-    ``process_rows`` holds each event's 0-based source process, laid out like
-    ``clock_rows``; it is what :func:`cutlattice.traversal.remap` and the
-    walk's ``remap()`` count.
+    starts a new one.  ``clock_rows`` is the same table decoded into tuples,
+    for readers that are not the walk, and :meth:`full_clock` gives the
+    whole ``n_u``-wide clock for display.  ``process_rows`` holds each
+    event's 0-based source process, laid out like ``clock_rows``; it is what
+    :func:`cutlattice.traversal.remap` and the walk's ``remap()`` count.
 
-    Instances are immutable once built and safe to share between threads.
+    Instances are immutable and safe to share between threads: each table
+    is computed once, on first read, and two threads racing on one compute
+    equal values.  A failed uniflow check is not kept: each read raises.
     """
 
     source: Computation
     chains: tuple[tuple[int, ...], ...]
     chain_of: Mapping[int, int]
-    lower_rows: tuple[tuple[int, ...], ...] | None = None
 
     @property
     def n_u(self) -> int:
@@ -201,23 +201,83 @@ class UniflowPartition:
         events = self.source.events
         return tuple(tuple(events[eid].process - 1 for eid in chain) for chain in self.chains)
 
-    @property
-    def packed_rows(self) -> tuple[tuple[int, ...], ...]:
-        """The stored ``lower_rows``; requires regenerated vector clocks."""
-        if self.lower_rows is None:
-            raise UsageError(
-                "partition has no uniflow vector clocks; call regenerate_vector_clocks first"
-            )
-        return self.lower_rows
+    @cached_property
+    def lower_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The packed lower clock of every event, chain by chain.
+
+        An event's uniflow vector clock counts its causal past on each
+        uniflow chain, the event included, with the event below it on its
+        chain taken as one more predecessor.  Beyond its lower clock it is
+        fixed on a uniflow partition: component ``c``, for an event on chain
+        ``c``, is its position there, and every higher one is 0, since no
+        dependency sits on a higher chain.
+
+        This is where the partition is checked to be uniflow.  Each event
+        must happen after the event below it on its chain, by the O(1)
+        Fidge-Mattern test of :func:`find_uniflow_chain`: ``below.vc[q] <=
+        ev.vc[q]`` with ``q = below.process - 1``, and ``ev`` not ``below``
+        itself.  No direct dependency may sit on a higher chain.  A failure
+        of either raises :class:`UsageError` naming both events and their
+        chains.  A dependency later on the event's own chain needs no test
+        of its own: it leaves some pair on that chain out of order.
+
+        The clocks are built chain by chain, bottom to top, which lists
+        every predecessor first, and each is appended to its chain's row as
+        it is made, packed into one int by :attr:`packing`.  An event with
+        no dependency on a lower chain has the lower clock of the event
+        below it, and shares that int.  Any other event starts from it (0 at
+        the bottom of a chain) and merges in each lower dependency ``d`` on
+        chain ``t`` by one packed max: ``d``'s lower clock,
+        ``rows[t - 1][position[d] - 1]``, on components ``1..t - 1`` and
+        ``d``'s position on component ``t``.
+        """
+        events = self.source.events
+        chain_of = self.chain_of
+        packing = self.packing
+        guards = packing.guards
+        w = packing.width
+        pmax = packing.max
+        rows: list[tuple[int, ...]] = []
+        position: dict[int, int] = {}  # filled as the chains are walked
+        for c, chain in enumerate(self.chains, start=1):
+            guard = guards[c - 1]
+            row: list[int] = []
+            low = 0  # the lower clock of the event below
+            below: Event | None = None
+            for k, eid in enumerate(chain, start=1):
+                ev = events[eid]
+                if below is not None:
+                    q = below.process - 1
+                    if below is ev or below.vc[q] > ev.vc[q]:
+                        raise UsageError(
+                            f"event {eid} on chain {c} does not happen after event {below.id} "
+                            "below it; the partition is not uniflow"
+                        )
+                for d in ev.deps:
+                    t = chain_of[d]
+                    if t < c:
+                        p = position[d]
+                        b = rows[t - 1][p - 1] | p << w * (t - 1)
+                        low = pmax(low, b, guard)
+                    elif t > c:
+                        raise UsageError(
+                            f"event {eid} on chain {c} depends on event {d} on chain {t}, "
+                            "a higher chain; the partition is not uniflow"
+                        )
+                row.append(low)
+                position[eid] = k
+                below = ev
+            rows.append(tuple(row))
+        return tuple(rows)
 
     @cached_property
     def clock_rows(self) -> tuple[tuple[Clock, ...], ...]:
-        """``packed_rows`` decoded: ``clock_rows[i][k]`` is the lower clock
+        """``lower_rows`` decoded: ``clock_rows[i][k]`` is the lower clock
         of the (k+1)-th event on chain i+1 as an ``i``-tuple.  Equal clocks
         on one chain share one tuple."""
         unpack = self.packing.unpack
         rows = []
-        for i, row in enumerate(self.packed_rows):
+        for i, row in enumerate(self.lower_rows):
             decoded = {x: tuple(unpack(x, i)) for x in set(row)}
             rows.append(tuple(map(decoded.__getitem__, row)))
         return tuple(rows)
@@ -324,8 +384,8 @@ def build_uniflow_partition(comp: Computation) -> UniflowPartition:
 
     Events are delivered in ``topo_order``.  Chain ids are compacted to
     ``1..n_u`` at the end (placement can leave gaps when a start position
-    jumps past existing chains).  Uniflow vector clocks are not filled; chain
-    with :func:`regenerate_vector_clocks`.
+    jumps past existing chains).  The lower clocks are built, and the
+    partition checked, on the first read of ``lower_rows``.
     """
     state = PartitionerState(events=comp.events)
     for eid in comp.topo_order:
@@ -338,71 +398,9 @@ def build_uniflow_partition(comp: Computation) -> UniflowPartition:
 
 
 def regenerate_vector_clocks(part: UniflowPartition) -> UniflowPartition:
-    """Return the partition with the lower clock of every event filled in.
-
-    An event's uniflow vector clock counts its causal past on each uniflow
-    chain, the event included, with the event below it on its chain taken as
-    one more predecessor.  Only part of it is stored: the *lower clock*, the
-    components on chains ``1..c - 1`` for an event on chain ``c``.  On a
-    uniflow partition the rest is fixed: component ``c`` is the event's
-    position on its chain, and every higher one is 0, since no dependency
-    sits on a higher chain.
-
-    The partition must be uniflow, and this is where that is checked.  Each
-    event must happen after the event below it on its chain, by the O(1)
-    Fidge-Mattern test of :func:`find_uniflow_chain`: ``below.vc[q] <=
-    ev.vc[q]`` with ``q = below.process - 1``, and ``ev`` not ``below``
-    itself.  No direct dependency may sit on a higher chain.  A failure of
-    either raises :class:`UsageError` naming both events and their chains.
-    A dependency later on the event's own chain needs no test of its own:
-    it leaves some pair on that chain out of order.
-
-    The clocks are built chain by chain, bottom to top, which lists every
-    predecessor first, and each is appended to its chain's row as it is
-    made, packed into one int by ``part.packing``.  An event with no
-    dependency on a lower chain has the lower clock of the event below it,
-    and shares that int.  Any other event starts from it (0 at the bottom
-    of a chain) and merges in each lower dependency ``d`` on chain ``t`` by
-    one packed max: ``d``'s lower clock, ``rows[t - 1][position[d] - 1]``,
-    on components ``1..t - 1`` and ``d``'s position on component ``t``.
+    """Check that the partition is uniflow, build its lower clocks and
+    return the same partition, by reading ``part.lower_rows``: a failure
+    raises its :class:`UsageError` here, and a walk finds the table built.
     """
-    events = part.source.events
-    chain_of = part.chain_of
-    packing = part.packing
-    guards = packing.guards
-    w = packing.width
-    pmax = packing.max
-    rows: list[tuple[int, ...]] = []
-    position: dict[int, int] = {}  # filled as the chains are walked
-    for c, chain in enumerate(part.chains, start=1):
-        guard = guards[c - 1]
-        row: list[int] = []
-        low = 0  # the lower clock of the event below
-        below: Event | None = None
-        for k, eid in enumerate(chain, start=1):
-            ev = events[eid]
-            if below is not None:
-                q = below.process - 1
-                if below is ev or below.vc[q] > ev.vc[q]:
-                    raise UsageError(
-                        f"event {eid} on chain {c} does not happen after event {below.id} "
-                        "below it; the partition is not uniflow"
-                    )
-            for d in ev.deps:
-                t = chain_of[d]
-                if t < c:
-                    p = position[d]
-                    b = rows[t - 1][p - 1] | p << w * (t - 1)
-                    low = pmax(low, b, guard)
-                elif t > c:
-                    raise UsageError(
-                        f"event {eid} on chain {c} depends on event {d} on chain {t}, "
-                        "a higher chain; the partition is not uniflow"
-                    )
-            row.append(low)
-            position[eid] = k
-            below = ev
-        rows.append(tuple(row))
-    return UniflowPartition(
-        source=part.source, chains=part.chains, chain_of=part.chain_of, lower_rows=tuple(rows)
-    )
+    part.lower_rows
+    return part

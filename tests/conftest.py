@@ -12,7 +12,7 @@ import pytest
 
 from cutlattice.model import Computation, make_computation
 from cutlattice.traceio import GenSpec, generate_random
-from cutlattice.uniflow import UniflowPartition, regenerate_vector_clocks
+from cutlattice.uniflow import UniflowPartition
 
 from reference import partition_from_chains
 
@@ -115,8 +115,8 @@ def downward_msg() -> Computation:
 
 
 def identity_partition(comp: Computation) -> UniflowPartition:
-    """The original process chains wrapped as a partition, clocks filled."""
-    return regenerate_vector_clocks(partition_from_chains(comp, comp.chains))
+    """The original process chains wrapped as a partition."""
+    return partition_from_chains(comp, comp.chains)
 
 
 def random_computation(seed: int, n: int, events: int, p: float) -> Computation:

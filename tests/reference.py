@@ -11,11 +11,11 @@ these only at the row the walk reads and up to the prefix it reads.
 ``fold_clocks_per_component`` is the plain vector-clock fold, one compare
 per component of every predecessor, that the clocks of
 :func:`cutlattice.model.make_computation` and the lower clocks of
-:func:`cutlattice.uniflow.regenerate_vector_clocks` must match exactly.
+:attr:`cutlattice.uniflow.UniflowPartition.lower_rows` must match exactly.
 
 ``verify_uniflow_pairwise`` is the quadratic uniflow check, every pair of
-events compared by their original clocks, that the linear check in
-:func:`cutlattice.uniflow.regenerate_vector_clocks` must agree with.
+events compared by their original clocks, that the linear check of
+:attr:`cutlattice.uniflow.UniflowPartition.lower_rows` must agree with.
 
 ``min_uniflow_chains`` is the exact least chain count of any uniflow
 partition, by a dynamic program over order ideals, that the online
@@ -50,7 +50,7 @@ from cutlattice.model import (
 )
 from cutlattice.traceio import parse_document
 from cutlattice.traversal import get_min_cut, get_successor
-from cutlattice.uniflow import UniflowPartition, regenerate_vector_clocks
+from cutlattice.uniflow import UniflowPartition
 
 
 def compute_projections(g: Sequence[int], part: UniflowPartition) -> list[Clock]:
@@ -248,10 +248,10 @@ def verify_uniflow_pairwise(part: UniflowPartition) -> bool:
 def partition_from_chains(
     comp: Computation, chains: Sequence[Sequence[int]]
 ) -> UniflowPartition:
-    """Wrap explicitly given chains as a partition (clocks not yet filled).
+    """Wrap explicitly given chains as a partition.
 
     The chains must partition the event set exactly.  No uniflow property is
-    assumed or checked here: :func:`regenerate_vector_clocks` checks it.
+    assumed or checked here: the first read of its ``lower_rows`` checks it.
     """
     flat = [eid for chain in chains for eid in chain]
     if len(flat) != comp.event_count or set(flat) != set(comp.events):
@@ -271,9 +271,8 @@ def trivial_partition(comp: Computation) -> UniflowPartition:
 
     Events are sorted lexically by their original clocks (highest chain most
     significant); any lexical order extends causal dominance, so the result
-    is always uniflow.  Clocks over the new chains are filled in.  With
-    ``n_u`` equal to the event count, it gives the walk its longest runs of
-    aliased projection rows.
+    is always uniflow.  With ``n_u`` equal to the event count, it gives the
+    walk its longest runs of aliased projection rows.
     """
     order = sorted(
         comp.topo_order,
@@ -281,8 +280,7 @@ def trivial_partition(comp: Computation) -> UniflowPartition:
     )
     chains = tuple((eid,) for eid in order)
     chain_of = {eid: i for i, eid in enumerate(order, start=1)}
-    part = UniflowPartition(source=comp, chains=chains, chain_of=chain_of)
-    return regenerate_vector_clocks(part)
+    return UniflowPartition(source=comp, chains=chains, chain_of=chain_of)
 
 
 def uniflow_fill(g: Sequence[int], k: int, part: UniflowPartition) -> Cut:

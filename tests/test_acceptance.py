@@ -52,10 +52,6 @@ def dv(*values):
     return cut_from_display(values)
 
 
-def prepared(comp: Computation) -> UniflowPartition:
-    return regenerate_vector_clocks(build_uniflow_partition(comp))
-
-
 def _report(num: int, detail: str) -> None:
     print(f"criterion {num}: PASS — {detail}")
 
@@ -97,7 +93,7 @@ def corpus() -> tuple[list[CorpusRecord], float]:
     records = []
     for spec in specs:
         comp = generate_random(spec)
-        part = prepared(comp)
+        part = build_uniflow_partition(comp)
         brute = brute_force_downsets(comp)
         trad: dict[int, set] = {}
         traditional_bfs(comp, lambda c, r, m: trad.setdefault(r, set()).add(c) or True)
@@ -112,7 +108,7 @@ def desk_trace() -> tuple[Computation, UniflowPartition, float]:
     """The criterion-7/8 workload: n=10, |E|=100, p=0.3."""
     comp = generate_random(GenSpec(n=10, total_events=100, message_probability=0.3, seed=6))
     t0 = time.perf_counter()
-    part = prepared(comp)
+    part = regenerate_vector_clocks(build_uniflow_partition(comp))
     return comp, part, time.perf_counter() - t0
 
 
@@ -133,7 +129,7 @@ def test_criterion_1_six_event_goldens(six_event):
     brute = brute_force_downsets(six_event)
     trad: dict[int, set] = {}
     traditional_bfs(six_event, lambda c, r, m: trad.setdefault(r, set()).add(c) or True)
-    part = prepared(six_event)
+    part = build_uniflow_partition(six_event)
     uni: dict[int, set] = {}
     stats = traverse_bfs(part, lambda c, r, m: uni.setdefault(r, set()).add(m()) or True)
     elapsed = time.perf_counter() - t0
@@ -154,7 +150,7 @@ def test_criterion_2_golden_lexical_sequences(crossing):
     traditional_bfs(crossing, lambda c, r, m: seen_original.append(c) or True)
     assert seen_original == original_sequence
 
-    part = prepared(crossing)
+    part = build_uniflow_partition(crossing)
     assert part.n_u == 3
     uniflow_sequence = [
         dv(0, 0, 0), dv(0, 0, 1), dv(0, 1, 0), dv(0, 1, 1),
@@ -342,7 +338,7 @@ def test_space_contrast_demonstration():
     on an n=10, |E|=30, p=0.3 trace small enough that the uncapped level BFS
     also finishes, so both enumerators can be compared cut count for cut count."""
     comp = generate_random(GenSpec(n=10, total_events=30, message_probability=0.3, seed=6))
-    part = prepared(comp)
+    part = build_uniflow_partition(comp)
     stats = traverse_bfs(part, lambda c, r, m: True)
     assert stats.cuts_visited >= 100_000
     assert stats.peak_live_cuts <= 3

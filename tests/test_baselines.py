@@ -14,7 +14,7 @@ from cutlattice.model import (
 )
 from cutlattice.traceio import GenSpec, generate_random
 from cutlattice.traversal import traverse_bfs
-from cutlattice.uniflow import build_uniflow_partition, regenerate_vector_clocks
+from cutlattice.uniflow import build_uniflow_partition
 
 from conftest import oracle_rank_sets, random_computation
 from reference import cut_from_display
@@ -51,7 +51,7 @@ class TestTraditionalBfs:
 
     def test_count_matches_uniflow(self):
         comp = random_computation(seed=122, n=5, events=20, p=0.3)
-        part = regenerate_vector_clocks(build_uniflow_partition(comp))
+        part = build_uniflow_partition(comp)
         assert traditional_bfs(comp).cuts_visited == traverse_bfs(part).cuts_visited
 
     def test_rank_filter_restricts_visits_not_expansion(self, six_event):
@@ -174,7 +174,7 @@ class TestCrossEnumeratorAgreement:
     ])
     def test_per_rank_sets_identical(self, seed, n, events, p):
         comp = random_computation(seed, n, events, p)
-        part = regenerate_vector_clocks(build_uniflow_partition(comp))
+        part = build_uniflow_partition(comp)
 
         brute = brute_force_downsets(comp)
         traditional: dict[int, set] = {}

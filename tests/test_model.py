@@ -16,7 +16,7 @@ from cutlattice.model import (
     is_consistent,
     make_computation,
 )
-from cutlattice.uniflow import build_uniflow_partition, regenerate_vector_clocks
+from cutlattice.uniflow import build_uniflow_partition
 
 from conftest import (
     closure_predecessors,
@@ -99,7 +99,7 @@ class TestComputeVectorClocks:
         slow fold's own component is the event's position there, and every
         higher one is 0."""
         comp = random_computation(seed, n=10, events=events, p=0.3)
-        part = regenerate_vector_clocks(build_uniflow_partition(comp))
+        part = build_uniflow_partition(comp)
         evs = comp.events
         position = {eid: k for chain in comp.chains for k, eid in enumerate(chain, start=1)}
         original = [

@@ -65,14 +65,13 @@ def assert_clocks_count_the_past(part, past) -> None:
 
 
 def uniflow_clocks(part: UniflowPartition) -> UniflowPartition:
-    """``part`` with regenerated clocks, after the cheap facts every walk
-    rests on: regeneration accepts the partition, and its lower clocks
-    count the causal past.  Each walking property calls this before it
-    walks, so every example that shows a partitioner or regeneration fault
-    fails here, before any walk."""
-    regenerated = regenerate_vector_clocks(part)
-    assert_clocks_count_the_past(regenerated, closure_predecessors(part.source))
-    return regenerated
+    """``part``, after the cheap facts every walk rests on: regeneration
+    accepts the partition, and its lower clocks count the causal past.
+    Each walking property calls this before it walks, so every example that
+    shows a partitioner or regeneration fault fails here, before any walk."""
+    assert regenerate_vector_clocks(part) is part
+    assert_clocks_count_the_past(part, closure_predecessors(part.source))
+    return part
 
 
 def check_walk(part, comp):
@@ -162,7 +161,7 @@ def test_clocks_count_the_causal_past(comp):
     for eid in comp.topo_order:
         members = past[eid] | {eid}
         assert list(events[eid].vc) == chain_counts(members, lambda m: events[m].process, comp.n)
-    for part in (regenerate_vector_clocks(build_uniflow_partition(comp)), trivial_partition(comp)):
+    for part in (build_uniflow_partition(comp), trivial_partition(comp)):
         assert_clocks_count_the_past(part, past)
 
 
@@ -174,7 +173,7 @@ def test_lower_clocks_nondecreasing_along_each_chain(comp):
     event's clock into ``proj[1]``, because the next event's clock on the
     chain already covers it.  On the trivial partition every chain holds
     one event, so only the clock lengths are checked there."""
-    for part in (regenerate_vector_clocks(build_uniflow_partition(comp)), trivial_partition(comp)):
+    for part in (build_uniflow_partition(comp), trivial_partition(comp)):
         for i, row in enumerate(part.clock_rows):
             assert all(len(vc) == i for vc in row)
             for a, b in zip(row, row[1:]):
@@ -300,7 +299,8 @@ def _assert_gate_matches_oracle(part) -> None:
     """Clock regeneration succeeds exactly when the quadratic oracle finds
     ``part`` uniflow, and otherwise raises ``UsageError``."""
     if verify_uniflow_pairwise(part):
-        assert regenerate_vector_clocks(part).lower_rows is not None
+        assert regenerate_vector_clocks(part) is part
+        assert len(part.lower_rows) == part.n_u
     else:
         with pytest.raises(UsageError, match="not uniflow"):
             regenerate_vector_clocks(part)

@@ -22,7 +22,7 @@ from cutlattice.traversal import (
     traverse_bfs,
     traverse_rank_range,
 )
-from cutlattice.uniflow import build_uniflow_partition, regenerate_vector_clocks
+from cutlattice.uniflow import build_uniflow_partition
 
 from conftest import (
     closure_predecessors,
@@ -35,6 +35,7 @@ from conftest import (
 from reference import (
     compute_projections,
     cut_from_display,
+    partition_from_chains,
     plain_successor_walk,
     trivial_partition,
 )
@@ -46,10 +47,6 @@ def dv(*values):
 
 def lexkey(cut):
     return cut[::-1]
-
-
-def prepared(comp):
-    return regenerate_vector_clocks(build_uniflow_partition(comp))
 
 
 def collect(part, r1=None, r2=None):
@@ -202,7 +199,7 @@ class TestComputeProjections:
 
     def test_bottom_row_reproduces_cut_and_rows_nest(self):
         comp = random_computation(seed=71, n=3, events=14, p=0.4)
-        part = prepared(comp)
+        part = build_uniflow_partition(comp)
         for members in downset_event_sets(comp):
             g = event_set_to_cut(members, part)
             proj = compute_projections(g, part)
@@ -213,7 +210,7 @@ class TestComputeProjections:
 
 class TestTraverseBfs:
     def test_six_event_lattice(self, six_event):
-        part = prepared(six_event)
+        part = build_uniflow_partition(six_event)
         seen, stats = collect(part)
         assert stats.cuts_visited == 12
         assert [stats.per_rank[r] for r in range(7)] == [1, 2, 2, 2, 2, 2, 1]
@@ -223,13 +220,13 @@ class TestTraverseBfs:
         assert by_rank == oracle_rank_sets(six_event)
 
     def test_empty_computation(self):
-        part = prepared(make_computation(3, []))
+        part = build_uniflow_partition(make_computation(3, []))
         seen, stats = collect(part)
         assert stats.cuts_visited == 1
         assert seen == [(0, (), (0, 0, 0))]
 
     def test_rank_major_lexical_minor_order(self, crossing):
-        part = prepared(crossing)
+        part = build_uniflow_partition(crossing)
         seen, _ = collect(part)
         expected = [
             dv(0, 0, 0), dv(0, 0, 1), dv(0, 1, 0), dv(0, 1, 1),
@@ -239,7 +236,7 @@ class TestTraverseBfs:
 
     def test_matches_oracle_on_random_trace(self):
         comp = random_computation(seed=91, n=3, events=12, p=0.3)
-        part = prepared(comp)
+        part = build_uniflow_partition(comp)
         seen, _ = collect(part)
         by_rank: dict[int, set] = {}
         for r, _, original in seen:
@@ -248,13 +245,13 @@ class TestTraverseBfs:
 
     def test_visit_once(self):
         comp = random_computation(seed=92, n=4, events=16, p=0.3)
-        part = prepared(comp)
+        part = build_uniflow_partition(comp)
         seen, _ = collect(part)
         cuts = [cut for _, cut, _ in seen]
         assert len(cuts) == len(set(cuts))
 
     def test_visitor_early_stop(self, six_event):
-        part = prepared(six_event)
+        part = build_uniflow_partition(six_event)
         seen = []
 
         def visitor(cut, r, remap_fn):
@@ -287,7 +284,7 @@ class TestTraverseBfs:
         """The walk's per-rank cut sequence, and each visit's remap, equal a
         plain min-cut/successor loop and the checked one-shot remap."""
         comp = random_computation(seed, n, events, p)
-        part = prepared(comp)
+        part = build_uniflow_partition(comp)
         seen, stats = collect(part)
         assert [(r, cut) for r, cut, _ in seen] == plain_walk(part)
         assert all(original == remap(cut, part) for _, cut, original in seen)
@@ -301,7 +298,7 @@ class TestTraverseBfs:
         """Near the top of the lattice most chains are full: a top-up starts
         above a run of full chains, and the next step's scan starts above
         chain 2.  The walk must still take exactly the plain loop's steps."""
-        part = prepared(generate_random(spec))
+        part = build_uniflow_partition(generate_random(spec))
         seen, stats = collect(part, r1, r2)
         assert [(r, cut) for r, cut, _ in seen] == plain_walk(part, r1, r2)
         assert all(original == remap(cut, part) for _, cut, original in seen)
@@ -361,7 +358,7 @@ class TestTraverseBfs:
         (98, 6, 20, 0.7),
     ])
     def test_projection_rows_match_compute_projections(self, seed, n, events, p):
-        part = prepared(random_computation(seed, n, events, p))
+        part = build_uniflow_partition(random_computation(seed, n, events, p))
         assert part.n_u >= 3
         self.check_projection_rows(part, 0, part.event_count)
 
@@ -369,12 +366,12 @@ class TestTraverseBfs:
         """Near the top of the desk trace a top-up leaves most chains full,
         so the next scan starts high and the refresh leaves rows below it
         stale; the rows the walk reads must still hold."""
-        part = prepared(generate_random(GenSpec(10, 100, 0.3, 6)))
+        part = build_uniflow_partition(generate_random(GenSpec(10, 100, 0.3, 6)))
         assert self.check_projection_rows(part, 95, 100) > 0
 
     def test_space_accounting(self):
         comp = random_computation(seed=94, n=4, events=20, p=0.3)
-        part = prepared(comp)
+        part = build_uniflow_partition(comp)
         n_u = part.n_u
         stats = traverse_bfs(part, lambda c, r, m: m() is not None)
         assert stats.peak_live_cuts <= 3
@@ -390,7 +387,7 @@ class TestTraverseBfs:
         still returns the image of its own cut: the original cut of the same
         downset."""
         comp = random_computation(seed=99, n=4, events=16, p=0.4)
-        part = prepared(comp)
+        part = build_uniflow_partition(comp)
         original_of = {
             event_set_to_cut(members, part): event_set_to_cut(members, comp)
             for members in downset_event_sets(comp)
@@ -431,7 +428,7 @@ class TestTraverseBfs:
         """
         slack = 2048
         comp = generate_random(GenSpec(10, 30, 0.3, 1))
-        part = prepared(comp)
+        part = build_uniflow_partition(comp)
         visitor = lambda c, r, m: m() and None
 
         def traced_peak(r, cuts):
@@ -467,7 +464,7 @@ def test_benchmark_predicate_window_work_counts():
     the event counts and the cut they describe.  No timing."""
     spec, r1, r2, text, cuts, n_u, hits, walk_ops, moved = PREDICATE_WINDOW
     comp = generate_random(spec)
-    part = prepared(comp)
+    part = build_uniflow_partition(comp)
     pred = parse_predicate(text)
     matches = 0
 
@@ -496,7 +493,7 @@ def test_benchmark_window_work_counts(window):
     less must leave these counts as they are.
     """
     spec, r1, r2, cuts, n_u, ops = BENCHMARK_WINDOWS[window]
-    part = prepared(generate_random(spec))
+    part = build_uniflow_partition(generate_random(spec))
     stats = traverse_rank_range(part, r1, r2)
     assert stats.cuts_visited == cuts
     assert part.n_u == n_u
@@ -519,7 +516,7 @@ def test_top_e1000_alloc_peak():
     """
     bound = 45_000
     spec, r1, r2, cuts, _, _ = BENCHMARK_WINDOWS["top-e1000"]
-    part = prepared(generate_random(spec))
+    part = build_uniflow_partition(generate_random(spec))
 
     traced_walk_peak(part, r1, r2)  # warm-up: first-call allocations of the interpreter
     peak, stats = traced_walk_peak(part, r1, r2)
@@ -543,7 +540,7 @@ def test_desk_alloc_peak_flat_at_scale():
     bound.
     """
     slack, bound = 2048, 8192
-    part = prepared(generate_random(GenSpec(10, 100, 0.3, 6)))
+    part = build_uniflow_partition(generate_random(GenSpec(10, 100, 0.3, 6)))
     traced_walk_peak(part, 3, 3)  # warm-up: first-call allocations of the interpreter
     small, stats = traced_walk_peak(part, 3, 3)
     assert stats.cuts_visited == 132
@@ -587,7 +584,7 @@ def test_benchmark_window_chain_2_traffic(window):
         spec, r1, r2, _, cuts, _, _, ops, _ = PREDICATE_WINDOW
     else:
         spec, r1, r2, cuts, _, ops = BENCHMARK_WINDOWS[window]
-    part = prepared(generate_random(spec))
+    part = build_uniflow_partition(generate_random(spec))
     plain = assert_walk_matches_plain(part, r1, r2)
     assert len(plain.cuts) == cuts
     assert plain.ops == ops
@@ -611,7 +608,7 @@ class TestChainTwoStep:
         one-shot remap whether it is called on every visit or on every
         third: both runs move some chain by exactly one event, the inline
         step's move, and some by more."""
-        part = prepared(generate_random(spec))
+        part = build_uniflow_partition(generate_random(spec))
         plain = assert_walk_matches_plain(part, r, r)
         assert 2 * plain.bumped[2] > sum(plain.bumped.values())
         for every in (1, 3):
@@ -627,7 +624,7 @@ class TestChainTwoStep:
         is the inline chain-2 one, and a full chain 2 ends the rank; with
         three every step is one of the two inline steps, and a chain 2 and
         3 that cannot be bumped end the rank."""
-        part = prepared(EDGE_CASES[case]())
+        part = build_uniflow_partition(EDGE_CASES[case]())
         assert part.n_u == n_u
         plain = assert_walk_matches_plain(part, 0, part.event_count)
         assert set(plain.bumped) == set(range(2, n_u + 1))
@@ -639,7 +636,7 @@ class TestChainTwoStep:
     def test_early_stop_in_a_run_of_chain_2_steps(self, spec, r):
         """Stop on a visit inside a run of chain-2 steps, two before it and
         one after it: the cuts and counters stop with the plain loop."""
-        part = prepared(generate_random(spec))
+        part = build_uniflow_partition(generate_random(spec))
         steps = plain_successor_walk(part, r, r).steps
         k = next(k for k in range(1, len(steps) - 1)
                  if steps[k - 1] == steps[k] == steps[k + 1] == 2)
@@ -660,7 +657,7 @@ class TestChainThreeStep:
         start at chain 3 because the last top-up reached it.  The walk
         takes the plain loop's steps, and ``remap()`` equals the one-shot
         remap whether it is called on every visit or on every third."""
-        part = prepared(random_computation(seed, 4, 18, 0.3))
+        part = build_uniflow_partition(random_computation(seed, 4, 18, 0.3))
         plain = assert_walk_matches_plain(part, 0, part.event_count)
         fills = Counter(fill for step, fill in zip(plain.steps, plain.fills) if step == 3)
         assert set(fills) == {None, (1, 1), (1, 2), (2, 2)}
@@ -672,7 +669,7 @@ class TestChainThreeStep:
     def test_early_stop_in_a_run_of_chain_3_steps(self, seed):
         """Stop on a visit inside a run of chain-3 steps, two before it and
         one after it: the cuts and counters stop with the plain loop."""
-        part = prepared(random_computation(seed, 4, 18, 0.3))
+        part = build_uniflow_partition(random_computation(seed, 4, 18, 0.3))
         steps = plain_successor_walk(part, 0, part.event_count).steps
         k = next(k for k in range(1, len(steps) - 1)
                  if steps[k - 1] == steps[k] == steps[k + 1] == 3)
@@ -718,7 +715,7 @@ class TestWalkEdgeCases:
     @pytest.mark.parametrize("case", sorted(EDGE_CASES))
     def test_matches_plain_loop_and_oracle(self, case, partition):
         comp = EDGE_CASES[case]()
-        part = prepared(comp) if partition == "online" else trivial_partition(comp)
+        part = build_uniflow_partition(comp) if partition == "online" else trivial_partition(comp)
         if case == "idle-processes" and partition == "online":
             assert part.n_u < comp.n
         seen, stats = collect(part)
@@ -748,7 +745,7 @@ class TestWideFields:
         min-cut/successor loop's, which reads the decoded tuples, and its
         remapped originals equal the level BFS's cuts, rank by rank."""
         comp = generate_random(self.SPEC)
-        part = prepared(comp)
+        part = build_uniflow_partition(comp)
         assert part.chain_lengths == (11, 21, 89, 129, 50)
         assert part.packing.size == 2
         plain = assert_walk_matches_plain(part, 0, part.event_count)
@@ -767,7 +764,7 @@ class TestWideFields:
         """Each decoded lower clock counts the event's causal past, the
         event included, on each chain below its own."""
         comp = generate_random(self.SPEC)
-        part = prepared(comp)
+        part = build_uniflow_partition(comp)
         past = closure_predecessors(comp)
         for c, (chain, row) in enumerate(zip(part.chains, part.clock_rows), start=1):
             for eid, clock in zip(chain, row):
@@ -781,34 +778,45 @@ class TestWideFields:
 
 class TestTraverseRankRange:
     def test_single_rank_slice(self, six_event):
-        part = prepared(six_event)
+        part = build_uniflow_partition(six_event)
         seen, _ = collect(part, 3, 3)
         assert {original for _, _, original in seen} == {dv(0, 3), dv(1, 2)}
 
     def test_rank_zero(self, six_event):
-        part = prepared(six_event)
+        part = build_uniflow_partition(six_event)
         seen, _ = collect(part, 0, 0)
         assert [original for _, _, original in seen] == [dv(0, 0)]
 
     def test_matches_oracle_slice(self):
         comp = random_computation(seed=95, n=3, events=14, p=0.3)
-        part = prepared(comp)
+        part = build_uniflow_partition(comp)
         r = comp.event_count // 2
         seen, _ = collect(part, r, r)
         assert {original for _, _, original in seen} == oracle_rank_sets(comp)[r]
 
-    def test_bad_range_rejected(self, six_event):
-        part = prepared(six_event)
+    def test_bad_range_rejected(self, six_event, downward_msg):
+        """A bad rank range is refused, and so is a partition that is not
+        uniflow, by the uniflow check's own error, before any visit."""
+        part = build_uniflow_partition(six_event)
         with pytest.raises(UsageError):
             traverse_rank_range(part, 4, 2)
         with pytest.raises(UsageError):
             traverse_rank_range(part, 0, 7)
-        with pytest.raises(UsageError, match="no uniflow vector clocks"):
-            traverse_rank_range(build_uniflow_partition(six_event), 0, 6)
+        visits = []
+        for chains, match in (
+            (downward_msg.chains, "a higher chain; the partition is not uniflow"),
+            ([(1, 2), (3, 5, 4, 6)], "does not happen after event 5 below it"),
+        ):
+            with pytest.raises(UsageError, match=match):
+                traverse_rank_range(
+                    partition_from_chains(downward_msg, chains), 0, 6,
+                    lambda *visit: visits.append(visit),
+                )
+        assert visits == []
 
     def test_rank_slice_isolation(self):
         comp = random_computation(seed=96, n=3, events=16, p=0.3)
-        part = prepared(comp)
+        part = build_uniflow_partition(comp)
         r = 8
         stats = traverse_rank_range(part, r, r)
         assert set(stats.min_cut_calls) == {r}
@@ -816,7 +824,7 @@ class TestTraverseRankRange:
 
     def test_range_covers_union_of_slices(self):
         comp = random_computation(seed=97, n=3, events=12, p=0.3)
-        part = prepared(comp)
+        part = build_uniflow_partition(comp)
         whole, _ = collect(part, 3, 6)
         pieces = []
         for r in range(3, 7):
@@ -827,22 +835,22 @@ class TestTraverseRankRange:
 
 class TestRemap:
     def test_full_cross_cut(self, crossing):
-        part = prepared(crossing)
+        part = build_uniflow_partition(crossing)
         assert remap(dv(1, 2, 1), part) == dv(2, 2)
 
     def test_zero_cut(self, crossing):
-        part = prepared(crossing)
+        part = build_uniflow_partition(crossing)
         assert remap((0, 0, 0), part) == (0, 0)
 
     def test_inconsistent_rejected(self, crossing):
-        part = prepared(crossing)
+        part = build_uniflow_partition(crossing)
         with pytest.raises(UsageError, match="not consistent"):
             remap(dv(1, 0, 0), part)
 
     @pytest.mark.parametrize("seed", [101, 102])
     def test_event_set_preserved(self, seed):
         comp = random_computation(seed, n=3, events=14, p=0.4)
-        part = prepared(comp)
+        part = build_uniflow_partition(comp)
         for members in downset_event_sets(comp):
             g_u = event_set_to_cut(members, part)
             g = remap(g_u, part)
@@ -859,7 +867,7 @@ class TestLexicalChainPerRank:
     ])
     def test_each_rank_enumerates_in_strict_lexical_order(self, seed, n, events, p):
         comp = random_computation(seed, n, events, p)
-        part = prepared(comp)
+        part = build_uniflow_partition(comp)
         by_rank = oracle_rank_sets(comp, part)
         seen, _ = collect(part)
         walked: dict[int, list] = {}

@@ -16,7 +16,7 @@ from cutlattice.model import (
     make_computation,
 )
 from cutlattice.traceio import GenSpec, generate_random
-from cutlattice.traversal import remap
+from cutlattice.traversal import get_successor, remap, traverse_rank_range
 from cutlattice.uniflow import (
     ClockPacking,
     PartitionerState,
@@ -181,7 +181,7 @@ class TestBuildUniflowPartition:
         assert checked_uniflow(part)
 
     def test_six_event_partition_preserves_cut_count(self, six_event):
-        part = regenerate_vector_clocks(build_uniflow_partition(six_event))
+        part = build_uniflow_partition(six_event)
         assert checked_uniflow(part)
         ranges = [range(m + 1) for m in part.chain_lengths]
         count = sum(1 for cut in itertools.product(*ranges) if is_consistent(cut, part))
@@ -214,7 +214,7 @@ class TestRegenerateVectorClocks:
     its own chain; ``full_clock`` adds its position and the zeros above."""
 
     def test_cross_partition_labels(self, crossing):
-        part = regenerate_vector_clocks(build_uniflow_partition(crossing))
+        part = build_uniflow_partition(crossing)
         assert part.full_clock(4) == dv(1, 1, 1)  # P1#2 alone on the top chain
         assert lower_clock(part, 4) == (1, 1)
         assert part.full_clock(3) == dv(0, 2, 1)  # P2#2
@@ -234,21 +234,34 @@ class TestRegenerateVectorClocks:
         assert part.full_clock(1) == dv(0, 0, 1)
         assert lower_clock(part, 1) == ()
 
-    def test_clock_rows_are_the_stored_rows(self, three_chain):
+    def test_clock_rows_are_the_stored_rows(self, three_chain, downward_msg):
         """Regeneration writes the packed rows, component ``t`` of a lower
         clock in bits ``[8t, 8t + 8)``; ``clock_rows`` decodes them once,
-        and, like the walk, refuses a partition without them."""
+        and, like every reader of the clocks, refuses a partition that is
+        not uniflow with the uniflow check's own error."""
         part = identity_partition(three_chain)
         assert part.packing.width == 8
         assert part.lower_rows == ((0,) * 3, (0, 0, 1), (2 << 8, 2 << 8, 2 | 2 << 8))
         assert part.clock_rows is part.clock_rows
         assert part.clock_rows == (((),) * 3, ((0,), (0,), (1,)), ((0, 2), (0, 2), (2, 2)))
-        with pytest.raises(UsageError, match="no uniflow vector clocks"):
-            build_uniflow_partition(three_chain).clock_rows
+        downward = partition_from_chains(downward_msg, downward_msg.chains)
+        out_of_order = partition_from_chains(downward_msg, [(1, 2), (3, 5, 4, 6)])
+        for bad, match in (
+            (downward, "a higher chain; the partition is not uniflow"),
+            (out_of_order, "does not happen after event 5 below it"),
+        ):
+            for read in (
+                lambda: bad.clock_rows,
+                lambda: is_consistent((1, 1), bad),
+                lambda: get_successor((1, 1), 2, bad),
+                lambda: remap((1, 1), bad),
+            ):
+                with pytest.raises(UsageError, match=match):
+                    read()
 
     def test_position_invariant(self):
         comp = random_computation(seed=21, n=4, events=16, p=0.4)
-        part = regenerate_vector_clocks(build_uniflow_partition(comp))
+        part = build_uniflow_partition(comp)
         for ci, chain in enumerate(part.chains, start=1):
             for k, eid in enumerate(chain, start=1):
                 assert len(part.clock_rows[ci - 1][k - 1]) == ci - 1
@@ -260,7 +273,7 @@ class TestRegenerateVectorClocks:
         keeps one object for each int up to 256, so an event whose new
         clock equals a small one below it holds that object."""
         comp = random_computation(seed=6, n=10, events=100, p=0.3)
-        part = regenerate_vector_clocks(build_uniflow_partition(comp))
+        part = build_uniflow_partition(comp)
         shared = fresh = 0
         for ci, (chain, row) in enumerate(zip(part.chains, part.lower_rows), start=1):
             for k, eid in enumerate(chain[1:], start=1):
@@ -280,14 +293,26 @@ class TestRegenerateVectorClocks:
         the zero clocks of ten rows are one) with 28,284 bytes of fields up
         to their highest nonzero byte.  Stored as tuples they took 396 tuples of
         29,104 ints, and the full clocks 1000 tuples of 144."""
-        part = regenerate_vector_clocks(build_uniflow_partition(
-            random_computation(seed=1, n=10, events=1000, p=0.3)))
+        part = build_uniflow_partition(random_computation(seed=1, n=10, events=1000, p=0.3))
         assert part.n_u == 144
         assert part.packing.width == 8
         assert sum(len(set(row)) for row in part.lower_rows) == 396
         distinct = {id(x): x for row in part.lower_rows for x in row}
         assert len(distinct) == 387
         assert sum((x.bit_length() + 7) // 8 for x in distinct.values()) == 28_284
+
+    def test_regeneration_returns_the_partition(self):
+        """Regeneration checks and fills the partition it is given and
+        returns it, so a walk reuses the tables regeneration built, here on
+        the benchmark's ``top-e1000`` trace, where they are largest."""
+        part = build_uniflow_partition(random_computation(seed=1, n=10, events=1000, p=0.3))
+        reg = regenerate_vector_clocks(part)
+        assert reg is part
+        packing, rows, lengths = part.packing, part.lower_rows, part.chain_lengths
+        guards = packing.guards
+        assert sum(traverse_rank_range(part, 997, 1000).per_rank.values()) == 200
+        assert part.packing is packing and part.packing.guards is guards
+        assert part.lower_rows is rows and part.chain_lengths is lengths
 
     def test_crossing_process_chains_rejected(self, crossing):
         # event 4 (P1#2) receives from event 2 (P2#1), one chain higher
@@ -449,7 +474,7 @@ class TestUniflowFill:
     def test_lemma_holds_exhaustively(self):
         for seed in (41, 42):
             comp = random_computation(seed, n=3, events=14, p=0.3)
-            part = regenerate_vector_clocks(build_uniflow_partition(comp))
+            part = build_uniflow_partition(comp)
             cuts = {
                 event_set_to_cut(members, part)
                 for members in downset_event_sets(comp)
@@ -480,7 +505,7 @@ class TestCutCountInvariance:
     ])
     def test_per_rank_counts_match_original(self, seed, n, events, p):
         comp = random_computation(seed, n, events, p)
-        part = regenerate_vector_clocks(build_uniflow_partition(comp))
+        part = build_uniflow_partition(comp)
         assert checked_uniflow(part)
         original: dict[int, set] = {}
         repartitioned: dict[int, set] = {}
@@ -516,5 +541,5 @@ class TestOriginalEvents:
     def test_full_cut_round_trip(self):
         for seed in (62, 63):
             comp = random_computation(seed, n=4, events=16, p=0.4)
-            part = regenerate_vector_clocks(build_uniflow_partition(comp))
+            part = build_uniflow_partition(comp)
             assert remap(part.chain_lengths, part) == comp.chain_lengths
