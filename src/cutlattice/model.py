@@ -109,21 +109,17 @@ def make_computation(n: int, records: Iterable[tuple[int, int, Iterable[int]]]) 
     if n < 0:
         raise UsageError("process count must be non-negative")
     chains: list[list[int]] = [[] for _ in range(n)]
-    # Each event's fields by id, in arrival order, clock last.  The Event
-    # objects are made after the loop: made inside it, among its temporary
-    # lists and sets, they slowed regeneration, which reads their deps, by
-    # about 9% at |E| = 1000.
-    fields: dict[int, tuple[int, int, frozenset[int], Clock]] = {}
+    events: dict[int, Event] = {}  # in arrival order
     for rec_no, (eid, process, deps) in enumerate(records, start=1):
         if eid < 0:
             raise UsageError(f"record {rec_no}: event id {eid} is negative")
-        if eid in fields:
+        if eid in events:
             raise UsageError(f"record {rec_no}: duplicate event id {eid}")
         if not 1 <= process <= n:
             raise UsageError(f"record {rec_no}: process {process} outside 1..{n}")
         dep_set = set(deps)
         for d in dep_set:
-            if d not in fields:
+            if d not in events:
                 raise UsageError(
                     f"record {rec_no}: dependency {d} does not refer to an earlier event"
                 )
@@ -136,17 +132,17 @@ def make_computation(n: int, records: Iterable[tuple[int, int, Iterable[int]]]) 
         if first is None:
             acc = [0] * n
         else:
-            acc = list(fields[first][-1])
+            acc = list(events[first].vc)
             for d in it:
-                acc = [a if a > b else b for a, b in zip(acc, fields[d][-1])]
+                acc = [a if a > b else b for a, b in zip(acc, events[d].vc)]
         acc[process - 1] = len(chain)
-        fields[eid] = (eid, process, frozenset(dep_set), tuple(acc))
+        events[eid] = Event(eid, process, frozenset(dep_set), tuple(acc))
 
     return Computation(
         n=n,
         chains=tuple(tuple(c) for c in chains),
-        events={eid: Event(*f) for eid, f in fields.items()},
-        topo_order=tuple(fields),
+        events=events,
+        topo_order=tuple(events),
     )
 
 

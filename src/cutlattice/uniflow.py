@@ -16,21 +16,21 @@ them, where their messages flow upward without opening fresh chains.  It is
 a measured heuristic that usually lowers the chain count.  It does not aim
 for the minimum chain count; that optimization problem is out of scope.
 
-A partition also lists, chain by chain, the source process of every event
-(``process_rows``).  A consistent cut holds a prefix of each process's
-events, so counting its events per process along those rows gives the
-original cut; that is how both remaps translate a uniflow cut back.
+A partition is its source computation and its chains; every other table is
+derived from them on first read, ``chain_of`` too.  A consistent cut holds a
+prefix of each process's events, so counting its events per process along
+``process_rows``, each event's process chain by chain, gives the original.
 
 ``UniflowPartition.lower_rows`` gives each event its vector clock over the
 uniflow chains, of which it stores only the *lower clock*: the components on
 the chains below the event's own.  That is all the walk reads, and on a
 uniflow partition the rest is fixed (the event's position, then zeros).
 Building the table, once, on first read, is also the one check of the
-property, in time linear in the events and their direct dependencies: each
-chain must be causally ordered, every event after the one below it, and no
-direct dependency may sit on a higher chain.  Causality is the transitive
-closure of the direct dependencies, so every causal path then only goes
-upward.  :func:`regenerate_vector_clocks` builds it ahead of a walk.
+property, in time linear in the events and their direct dependencies: the
+chains must hold each event once, each after the one below it, and no direct
+dependency may sit on a higher chain.  Causality is the transitive closure
+of the direct dependencies, so every causal path then only goes upward.
+:func:`regenerate_vector_clocks` builds it ahead of a walk.
 
 Each lower clock is stored packed into one int (:class:`ClockPacking`).
 Component ``t`` (0-based) sits in bits ``[W*t, W*t + W)``.  A component
@@ -141,7 +141,8 @@ _TYPECODES = {array(code).itemsize: code for code in "QLIHB"}
 class UniflowPartition:
     """A repartition of a computation's events into ``n_u`` chains.
 
-    ``chains[i]`` lists event ids in chain order for chain ``i + 1``.
+    It is its ``source`` and ``chains``, where ``chains[i]`` lists event ids
+    in chain order for chain ``i + 1``; :attr:`chain_of` is derived.
     ``lower_rows[i][k]`` is the *lower clock* of the (k+1)-th event on chain
     ``i + 1``: the ``i`` components of its vector clock over the uniflow
     chains that lie below its own chain, packed into one int by
@@ -160,11 +161,15 @@ class UniflowPartition:
 
     source: Computation
     chains: tuple[tuple[int, ...], ...]
-    chain_of: Mapping[int, int]
 
     @property
     def n_u(self) -> int:
         return len(self.chains)
+
+    @cached_property
+    def chain_of(self) -> Mapping[int, int]:
+        """Each event id's 1-based chain (the higher, for an id on two)."""
+        return {eid: c for c, chain in enumerate(self.chains, start=1) for eid in chain}
 
     @cached_property
     def event_count(self) -> int:
@@ -212,14 +217,14 @@ class UniflowPartition:
         ``c``, is its position there, and every higher one is 0, since no
         dependency sits on a higher chain.
 
-        This is where the partition is checked to be uniflow.  Each event
-        must happen after the event below it on its chain, by the O(1)
-        Fidge-Mattern test of :func:`find_uniflow_chain`: ``below.vc[q] <=
-        ev.vc[q]`` with ``q = below.process - 1``, and ``ev`` not ``below``
-        itself.  No direct dependency may sit on a higher chain.  A failure
-        of either raises :class:`UsageError` naming both events and their
-        chains.  A dependency later on the event's own chain needs no test
-        of its own: it leaves some pair on that chain out of order.
+        This is where the partition is checked to be uniflow, or raises
+        :class:`UsageError`.  The chains must hold each event once
+        (``chain_of`` has one id per entry, and the events' ids), each after
+        the event below it by the O(1) Fidge-Mattern test of
+        :func:`find_uniflow_chain`, ``below.vc[q] <= ev.vc[q]`` with ``q =
+        below.process - 1``; no direct dependency may sit on a higher chain.
+        A dependency later on the event's own chain needs no test of its
+        own: it leaves some pair on that chain out of order.
 
         The clocks are built chain by chain, bottom to top, which lists
         every predecessor first, and each is appended to its chain's row as
@@ -233,6 +238,10 @@ class UniflowPartition:
         """
         events = self.source.events
         chain_of = self.chain_of
+        if len(chain_of) != self.full_below[-1] or chain_of.keys() != events.keys():
+            raise UsageError(
+                "the chains do not hold each event exactly once; the partition is not uniflow"
+            )
         packing = self.packing
         guards = packing.guards
         w = packing.width
@@ -248,7 +257,7 @@ class UniflowPartition:
                 ev = events[eid]
                 if below is not None:
                     q = below.process - 1
-                    if below is ev or below.vc[q] > ev.vc[q]:
+                    if below.vc[q] > ev.vc[q]:
                         raise UsageError(
                             f"event {eid} on chain {c} does not happen after event {below.id} "
                             "below it; the partition is not uniflow"
@@ -382,25 +391,23 @@ def find_uniflow_chain(event: Event, state: PartitionerState) -> int:
 def build_uniflow_partition(comp: Computation) -> UniflowPartition:
     """Run the online partitioner over the whole computation.
 
-    Events are delivered in ``topo_order``.  Chain ids are compacted to
-    ``1..n_u`` at the end (placement can leave gaps when a start position
-    jumps past existing chains).  The lower clocks are built, and the
-    partition checked, on the first read of ``lower_rows``.
+    Events are delivered in ``topo_order``, and the chains are then listed
+    in id order, which compacts their sparse ids to ``1..n_u``.  The lower
+    clocks are built, and the partition checked, on the first read of
+    ``lower_rows``.
     """
     state = PartitionerState(events=comp.events)
     for eid in comp.topo_order:
         find_uniflow_chain(comp.events[eid], state)
-    order = sorted(state.chains)
-    renumber = {old: new for new, old in enumerate(order, start=1)}
-    chains = tuple(tuple(state.chains[old]) for old in order)
-    chain_of = {eid: renumber[cid] for eid, cid in state.chain_of.items()}
-    return UniflowPartition(source=comp, chains=chains, chain_of=chain_of)
+    chains = tuple(tuple(state.chains[cid]) for cid in sorted(state.chains))
+    return UniflowPartition(source=comp, chains=chains)
 
 
 def regenerate_vector_clocks(part: UniflowPartition) -> UniflowPartition:
-    """Check that the partition is uniflow, build its lower clocks and
-    return the same partition, by reading ``part.lower_rows``: a failure
-    raises its :class:`UsageError` here, and a walk finds the table built.
+    """Check that the chains hold each event once and are uniflow, build
+    their lower clocks and return the same partition, by reading
+    ``part.lower_rows``: a failure raises its :class:`UsageError` here, and
+    a walk finds the table built.
     """
     part.lower_rows
     return part

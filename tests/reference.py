@@ -250,20 +250,10 @@ def partition_from_chains(
 ) -> UniflowPartition:
     """Wrap explicitly given chains as a partition.
 
-    The chains must partition the event set exactly.  No uniflow property is
-    assumed or checked here: the first read of its ``lower_rows`` checks it.
+    The first read of its ``lower_rows`` checks that the chains hold each
+    event exactly once and that they are uniflow.
     """
-    flat = [eid for chain in chains for eid in chain]
-    if len(flat) != comp.event_count or set(flat) != set(comp.events):
-        raise UsageError("chains do not partition the computation's events")
-    chain_of = {
-        eid: ci for ci, chain in enumerate(chains, start=1) for eid in chain
-    }
-    return UniflowPartition(
-        source=comp,
-        chains=tuple(tuple(chain) for chain in chains),
-        chain_of=chain_of,
-    )
+    return UniflowPartition(source=comp, chains=tuple(tuple(chain) for chain in chains))
 
 
 def trivial_partition(comp: Computation) -> UniflowPartition:
@@ -278,9 +268,7 @@ def trivial_partition(comp: Computation) -> UniflowPartition:
         comp.topo_order,
         key=lambda eid: (tuple(reversed(comp.events[eid].vc)), comp.events[eid].process),
     )
-    chains = tuple((eid,) for eid in order)
-    chain_of = {eid: i for i, eid in enumerate(order, start=1)}
-    return UniflowPartition(source=comp, chains=chains, chain_of=chain_of)
+    return UniflowPartition(source=comp, chains=tuple((eid,) for eid in order))
 
 
 def uniflow_fill(g: Sequence[int], k: int, part: UniflowPartition) -> Cut:

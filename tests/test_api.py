@@ -1,12 +1,14 @@
-"""The public API: the demos run, the package top level exports exactly the
-names its callers import from it plus the exception types, and every name
-the demos and the benchmark import from a submodule exists in it."""
+"""The public API: the demos and README's Python blocks run, the package
+top level exports exactly the names its callers import from it plus the
+exception types, and every name the demos and the benchmark import from a
+submodule exists in it."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -36,15 +38,34 @@ def package_imports(path: Path) -> set[tuple[str, str]]:
     }
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
-def test_demo_runs(demo):
+# The ```python blocks of README.md, in order.
+README_BLOCKS = re.findall(
+    r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(encoding="utf-8"),
+    re.MULTILINE | re.DOTALL,
+)
+
+
+def run_python(argv: list[str]) -> subprocess.CompletedProcess:
+    """Run Python on ``argv`` with the package's ``src`` on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    done = subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120
     )
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo):
+    done = run_python([str(demo)])
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("block", README_BLOCKS,
+                         ids=[f"block-{i}" for i in range(1, len(README_BLOCKS) + 1)])
+def test_readme_python_block_runs(block):
+    done = run_python(["-c", block])
     assert done.returncode == 0, done.stderr
 
 

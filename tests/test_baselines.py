@@ -60,6 +60,10 @@ class TestTraditionalBfs:
         assert stats.per_rank[3] == 2
         assert set(stats.expanded_per_rank) == {0, 1, 2}
 
+    def test_reversed_rank_filter_rejected(self, six_event):
+        with pytest.raises(UsageError, match=r"^rank range 2\.\.1 invalid for 6 events$"):
+            traditional_bfs(six_event, rank_filter=(2, 1))
+
     def test_memory_cap_raises_resource_error(self):
         comp = random_computation(seed=123, n=5, events=20, p=0.0)
         with pytest.raises(ResourceLimitError) as exc_info:

@@ -22,7 +22,7 @@ from cutlattice.model import UsageError, format_cut
 from cutlattice.traceio import GenSpec, generate_random, serialize_trace
 from cutlattice.uniflow import build_uniflow_partition
 
-from reference import parse_trace, partition_from_chains
+from reference import cut_from_display, parse_trace, partition_from_chains
 
 SIX_EVENT = "n=2\n1 1\n2 1\n3 1\n4 2\n5 2 2\n6 2\n"
 CROSSING = "n=2\n1 1\n2 2\n3 2 1\n4 1 2\n"
@@ -68,7 +68,7 @@ class TestParseHelpers:
         assert parse_rank_spec("4", 10) == (4, 4)
         assert parse_rank_spec("2..5", 10) == (2, 5)
 
-    @pytest.mark.parametrize("bad", ["", "x", "5..2", "3..99", "-1"])
+    @pytest.mark.parametrize("bad", ["", "x", "5..2", "3..99", "-1", "1..x"])
     def test_bad_rank_specs(self, bad):
         with pytest.raises(UsageError):
             parse_rank_spec(bad, 10)
@@ -298,7 +298,17 @@ class TestTraverse:
         ("n=2\n1 1\n2 3\n", "usage error: record 2: process 3 outside 1..2"),
         ("n=1\n-1 1\n", "usage error: record 1: event id -1 is negative"),
         ("# a comment\nn=1\n1 1\n2 one\n", "trace error: line 4: non-integer field in '2 one'"),
-    ], ids=["forward-dependency", "duplicate-id", "process-out-of-range", "negative-id", "syntax"])
+        ("n=x\n1 1\n", "trace error: line 1: bad process count 'x'"),
+        ("n=2\n1 1\n2 2 1 3\n", "trace error: line 3: expected 'id process [deps]', got '2 2 1 3'"),
+        ("# name: headless\n", "trace error: missing 'n=<int>' header"),
+        ("# trace-format: x\nn=1\n1 1\n", "trace error: bad trace-format tag 'x'"),
+        ("# seed: x\nn=1\n1 1\n", "trace error: bad seed tag 'x'"),
+        ("n=-1\n", "usage error: process count must be non-negative"),
+    ], ids=[
+        "forward-dependency", "duplicate-id", "process-out-of-range", "negative-id", "syntax",
+        "bad-process-count", "four-fields", "no-header", "bad-format-tag", "bad-seed-tag",
+        "negative-process-count",
+    ])
     def test_bad_record_is_usage_error(self, tmp_path, capsys, trace, message):
         """A record that breaks a rule is named by its number among the
         event lines, comments and blank lines not counted; a syntax error
@@ -423,6 +433,31 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "rank 3: cuts=2 ok" in out
         assert "rank 4" not in out
+
+    def test_max_rank_above_event_count_is_usage_error(self, six_event_path, capsys):
+        assert main(["verify", six_event_path, "--max-rank", "7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "usage error: max rank 7 outside 0..6\n"
+        assert captured.out == ""
+
+    def test_missing_cut_named(self, six_event_path, capsys, monkeypatch):
+        """An enumerator that drops a cut fails verification, and the diff
+        names the cut it lacks."""
+        uniflow = cli.ENUMERATORS["uniflow"]
+
+        def dropping(comp, window, visitor, max_stored):
+            def skip_one(cut, r, remap):
+                if r == 3 and remap() == cut_from_display([0, 3]):
+                    return True
+                return visitor(cut, r, remap)
+            return uniflow(comp, window, skip_one, max_stored)
+
+        monkeypatch.setitem(cli.ENUMERATORS, "uniflow", dropping)
+        assert main(["verify", six_event_path]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert "MISMATCH at rank 3: brute=2 traditional=2 uniflow=1" in out
+        assert "  uniflow missing: ['[0,3]']" in out
+        assert "rank 2: cuts=2 ok" in out
 
 
 class TestBench:
@@ -565,17 +600,25 @@ def test_predicate_spec_rank_bounds():
     assert not spec.matches((0,), 5)
 
 
+def online_chains_less_top_last(comp):
+    """The online partitioner's chains with the top chain's last event dropped."""
+    chains = build_uniflow_partition(comp).chains
+    return chains[:-1] + (chains[-1][:-1],)
+
+
 class TestNotUniflow:
     """A partitioner fault is a usage error, exit 2, in every subcommand that
-    partitions, whether a chain holds two concurrent events or an event
-    depends on a higher chain."""
+    partitions, whether a chain holds two concurrent events, an event
+    depends on a higher chain or the chains lose an event."""
 
     @pytest.mark.parametrize("trace,chains,named", [
         (FORK_JOIN, lambda comp: [comp.topo_order],
          "event 2 on chain 1 does not happen after event 1 below it"),
         (CROSSING, lambda comp: comp.chains,
          "event 4 on chain 1 depends on event 2 on chain 2, a higher chain"),
-    ], ids=["concurrent-on-one-chain", "higher-chain-dependency"])
+        (CROSSING, lambda comp: online_chains_less_top_last(comp),
+         "the chains do not hold each event exactly once"),
+    ], ids=["concurrent-on-one-chain", "higher-chain-dependency", "dropped-event"])
     @pytest.mark.parametrize("command", ["traverse", "partition", "verify"])
     def test_exit_2(self, tmp_path, capsys, monkeypatch, trace, chains, named, command):
         path = tmp_path / "t.trace"

@@ -136,6 +136,10 @@ class TestMakeComputationValidation:
         with pytest.raises(UsageError, match="process"):
             make_computation(2, [(1, 3, [])])
 
+    def test_negative_process_count(self):
+        with pytest.raises(UsageError, match="^process count must be non-negative$"):
+            make_computation(-1, [])
+
     def test_implicit_same_chain_predecessor(self):
         comp = make_computation(1, [(1, 1, []), (2, 1, [])])
         assert 1 in comp.events[2].deps

@@ -331,6 +331,38 @@ class TestRegenerateVectorClocks:
         with pytest.raises(UsageError, match=r"event 4 on chain 2 does not happen after event 5 below it"):
             regenerate_vector_clocks(part)
 
+    @pytest.mark.parametrize("edit", [
+        lambda chains: chains[:-1] + (chains[-1][:-1],),
+        lambda chains: chains[:-1] + (chains[-1] + (99,),),
+        lambda chains: chains[:-1] + (chains[-1] + (chains[0][-1],),),
+    ], ids=["missing-event", "foreign-id", "event-on-two-chains"])
+    @pytest.mark.parametrize("read", [
+        lambda part, visits: regenerate_vector_clocks(part),
+        lambda part, visits: traverse_rank_range(
+            part, 0, part.event_count, lambda *visit: visits.append(visit)),
+        lambda part, visits: get_successor((0,) * part.n_u, 0, part),
+        lambda part, visits: is_consistent((0,) * part.n_u, part),
+        lambda part, visits: remap((0,) * part.n_u, part),
+    ], ids=["regenerate", "walk", "get_successor", "is_consistent", "remap"])
+    def test_chains_must_hold_each_event_once(self, three_chain, edit, read):
+        """The online chains with one event dropped, one id that is not an
+        event, or one event on two chains: every reader of the clocks
+        raises the gate's error before any visit."""
+        part = UniflowPartition(three_chain, edit(build_uniflow_partition(three_chain).chains))
+        visits = []
+        with pytest.raises(UsageError, match=(
+            r"^the chains do not hold each event exactly once; the partition is not uniflow$"
+        )):
+            read(part, visits)
+        assert visits == []
+
+    def test_chain_of_is_derived_not_given(self, three_chain):
+        part = build_uniflow_partition(three_chain)
+        assert part.chain_of == {
+            eid: c for c, chain in enumerate(part.chains, start=1) for eid in chain}
+        with pytest.raises(TypeError, match="chain_of"):
+            UniflowPartition(source=three_chain, chains=part.chains, chain_of=part.chain_of)
+
 
 
 def pack(values, width: int) -> int:
@@ -404,9 +436,7 @@ class TestVerifyUniflow:
         # one repeating an event, which does not happen after itself
         assert checked_uniflow(partition_from_chains(six_event, [(2, 1, 3), (4, 5, 6)])) is False
         assert checked_uniflow(partition_from_chains(six_event, [(1, 2, 3, 4), (5, 6)])) is False
-        chains = ((1, 1, 2, 3), (4, 5, 6))
-        chain_of = {eid: ci for ci, chain in enumerate(chains, start=1) for eid in chain}
-        repeated = UniflowPartition(source=six_event, chains=chains, chain_of=chain_of)
+        repeated = UniflowPartition(source=six_event, chains=((1, 1, 2, 3), (4, 5, 6)))
         assert checked_uniflow(repeated) is False
 
     def test_swapped_chains_rejected(self, three_chain):
