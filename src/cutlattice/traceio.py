@@ -3,18 +3,20 @@
 Format (UTF-8, LF line endings):
 
     # trace-format: 1
-    # name: d100          <- optional metadata
-    # seed: 1             <- optional metadata
+    # name: d100
+    # seed: 1
     n=10
     1 1
     2 2
     3 3 1,2
 
-One event per line after the ``n=<int>`` header: ``id process`` optionally
-followed by a comma-separated dependency list.  Dependencies must refer to
-earlier lines, which keeps every well-formed file acyclic and already in
-topological order.  ``#`` lines are comments; ``# key: value`` comments
-before the header are captured as document metadata and ignored otherwise.
+A trace is a preamble, the ``n=<int>`` header, then records.  The preamble
+holds blank lines and ``#`` comments; its ``# key: value`` comments are
+optional metadata (``trace-format``, ``name``, ``seed``).  After the header,
+one event per line: ``id process`` optionally followed by a comma-separated
+dependency list.  Dependencies must refer to earlier lines, which keeps
+every well-formed file acyclic and already in topological order.  Every
+``#`` line after the header is a comment, a ``# key: value`` one included.
 
 The generator is fully deterministic: all randomness comes from a splitmix64
 stream seeded by :class:`GenSpec.seed`, so identical specs produce
@@ -23,7 +25,7 @@ byte-identical files on any platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from .model import Computation, UsageError, make_computation
@@ -82,7 +84,12 @@ def splitmix64(seed: int) -> Iterator[int]:
 
 
 def parse_document(data: bytes | str) -> TraceDocument:
-    """Parse a trace file into a :class:`TraceDocument`.
+    """Parse a trace file into a :class:`TraceDocument`, in the grammar's two phases.
+
+    The preamble runs to the ``n=<int>`` header: blank lines and ``#``
+    comments, where the first ``# key: value`` comment of each key is
+    metadata.  After the header every non-blank line is a ``#`` comment,
+    a tag there included, or a record ``id process [deps]``.
 
     Checks syntax only.  Rejects, with the offending line number, a missing
     or malformed header, a line without two or three fields, and a
@@ -93,39 +100,38 @@ def parse_document(data: bytes | str) -> TraceDocument:
     :func:`~cutlattice.model.make_computation`'s to check, by record number.
     """
     text = data.decode("utf-8") if isinstance(data, bytes) else data
+    lines = enumerate(text.splitlines(), start=1)
     meta: dict[str, str] = {}
-    n: int | None = None
-    records: list[tuple[int, int, tuple[int, ...]]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in lines:
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
-            body = line[1:].strip()
-            if ":" in body:
-                key, _, value = body.partition(":")
+            key, colon, value = line[1:].partition(":")
+            if colon:
                 meta.setdefault(key.strip(), value.strip())
             continue
-        if n is None:
-            if not line.startswith("n="):
-                raise TraceError("expected header 'n=<int>' before event records", line_no)
-            try:
-                n = int(line[2:])
-            except ValueError:
-                raise TraceError(f"bad process count {line[2:]!r}", line_no) from None
-            continue
-        fields = line.split()
-        if len(fields) not in (2, 3):
-            raise TraceError(f"expected 'id process [deps]', got {line!r}", line_no)
+        if not line.startswith("n="):
+            raise TraceError("expected header 'n=<int>' before event records", line_no)
         try:
-            eid = int(fields[0])
-            process = int(fields[1])
-            deps = tuple(int(d) for d in fields[2].split(",")) if len(fields) == 3 else ()
+            n = int(line[2:])
         except ValueError:
-            raise TraceError(f"non-integer field in {line!r}", line_no) from None
-        records.append((eid, process, deps))
-    if n is None:
+            raise TraceError(f"bad process count {line[2:]!r}", line_no) from None
+        break
+    else:
         raise TraceError("missing 'n=<int>' header")
+    records: list[tuple[int, int, tuple[int, ...]]] = []
+    for line_no, raw in lines:
+        fields = raw.split()
+        if not fields or fields[0].startswith("#"):
+            continue
+        if len(fields) not in (2, 3):
+            raise TraceError(f"expected 'id process [deps]', got {raw.strip()!r}", line_no)
+        try:
+            deps = tuple(map(int, fields[2].split(","))) if len(fields) == 3 else ()
+            records.append((int(fields[0]), int(fields[1]), deps))
+        except ValueError:
+            raise TraceError(f"non-integer field in {raw.strip()!r}", line_no) from None
     if "trace-format" in meta:
         try:
             version = int(meta["trace-format"])
@@ -139,12 +145,7 @@ def parse_document(data: bytes | str) -> TraceDocument:
             seed = int(meta["seed"])
         except ValueError:
             raise TraceError(f"bad seed tag {meta['seed']!r}") from None
-    return TraceDocument(
-        n=n,
-        records=tuple(records),
-        name=meta.get("name"),
-        seed=seed,
-    )
+    return TraceDocument(n, tuple(records), meta.get("name"), seed)
 
 
 def serialize_trace(comp: Computation, name: str | None = None, seed: int | None = None) -> str:

@@ -1,7 +1,8 @@
-"""The public API: the demos and README's Python blocks run, the package
-top level exports exactly the names its callers import from it plus the
-exception types, and every name the demos and the benchmark import from a
-submodule exists in it."""
+"""The public API: the demos and README's Python blocks run, the trace
+format's example in the ``traceio`` docstring parses, the package top level
+exports exactly the names its callers import from it plus the exception
+types, and every name the demos and the benchmark import from a submodule
+exists in it."""
 
 from __future__ import annotations
 
@@ -11,11 +12,13 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
 import cutlattice
+from cutlattice import traceio
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -67,6 +70,14 @@ def test_demo_runs(demo):
 def test_readme_python_block_runs(block):
     done = run_python(["-c", block])
     assert done.returncode == 0, done.stderr
+
+
+def test_traceio_docstring_example_parses():
+    """The format example in the ``traceio`` module docstring, its first
+    indented block, is a valid trace."""
+    example = re.search(r"\n\n((?: {4}.*\n)+)", traceio.__doc__).group(1)
+    doc = traceio.parse_document(textwrap.dedent(example))
+    assert (doc.name, doc.seed, doc.n, len(doc.records)) == ("d100", 1, 10, 3)
 
 
 def test_all_names_import():

@@ -249,6 +249,13 @@ class TestTraverse:
         assert "cuts=" not in captured.out
         assert "trace-format 2" in captured.err
 
+    def test_tag_after_header_is_a_comment(self, tmp_path, capsys):
+        """A ``# seed:`` line after the header is a comment, not a bad tag."""
+        path = tmp_path / "late-tag.trace"
+        path.write_text("n=1\n1 1\n# seed: x\n")
+        assert main(["traverse", str(path)]) == 0
+        assert "cuts=2" in capsys.readouterr().out.splitlines()
+
     def test_negative_memory_cap_is_usage_error(self, six_event_path, capsys):
         assert main([
             "traverse", six_event_path, "--algo", "traditional", "--max-stored", "-1",

@@ -115,6 +115,19 @@ class TestParseTrace:
         with pytest.raises(TraceError, match="unsupported trace-format 2"):
             parse_document("# trace-format: 2\nn=2\n1 1\n2 2 1\n")
 
+    @pytest.mark.parametrize("text,name,seed", [
+        ("n=1\n1 1\n# seed: x\n", None, None),
+        ("n=1\n1 1\n# name: late\n", None, None),
+        ("n=1\n# trace-format: 2\n1 1\n", None, None),
+        ("# name: early\n# seed: 3\nn=1\n# name: late\n1 1\n# seed: 4\n", "early", 3),
+    ], ids=["seed-after-header", "name-after-header", "format-after-header", "preamble-wins"])
+    def test_tags_after_header_are_comments(self, text, name, seed):
+        """Metadata is read from the preamble only: after the ``n=`` header
+        a ``# key: value`` line is an ordinary comment."""
+        doc = parse_document(text)
+        assert (doc.n, doc.records) == (1, ((1, 1, ()),))
+        assert (doc.name, doc.seed) == (name, seed)
+
 
 class TestSerializeTrace:
     def test_round_trip_six_event(self):
@@ -203,3 +216,35 @@ def test_generator_round_trip_property(seed, n, events, p):
     again = parse_trace(text)
     assert again == comp
     assert serialize_trace(again) == text
+
+
+# Comment lines that the record phase must skip, tags and leading spaces included.
+AFTER_HEADER_COMMENTS = st.sampled_from([
+    "# seed: x", "# name: y", "# trace-format: 9", "#", "# plain", "  # seed: 5", "\t# name: z",
+])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    data=st.data(),
+    seed=st.integers(0, 2**64 - 1),
+    n=st.integers(1, 6),
+    events=st.integers(0, 30),
+    p=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+    tagged=st.booleans(),
+)
+def test_comments_after_header_property(data, seed, n, events, p, tagged):
+    """Comment lines inserted anywhere after the header, ``# key: value``
+    ones included, leave the parsed document unchanged."""
+    comp = generate_random(GenSpec(n=n, total_events=events, message_probability=p, seed=seed))
+    meta = {"name": "g", "seed": seed} if tagged else {}
+    lines = serialize_trace(comp, **meta).splitlines()
+    header = lines.index(f"n={n}")
+    inserts = data.draw(st.lists(
+        st.tuples(st.integers(header + 1, len(lines)), AFTER_HEADER_COMMENTS), min_size=1,
+        max_size=8,
+    ))
+    noisy = list(lines)
+    for at, comment in sorted(inserts, reverse=True):
+        noisy.insert(at, comment)
+    assert parse_document("\n".join(noisy) + "\n") == parse_document("\n".join(lines) + "\n")
